@@ -11,6 +11,7 @@ from .arith import (
     is_prime,
     max_vp_in_window,
     prime_count,
+    prime_divisors,
     probable_prime,
     representation_threshold,
     vp,

@@ -280,6 +280,29 @@ def factorize(x: int) -> dict[int, int]:
     return dict(sorted(out.items()))
 
 
+def prime_divisors(x: int) -> list[int]:
+    """The distinct primes dividing x >= 1, ascending.
+
+    Within the shared sieve this walks the smallest-prime-factor table
+    without building an exponent map; beyond it, the primes of factorize.
+    """
+    sieve = default_sieve()
+    if not 1 <= x <= sieve.limit:
+        return list(factorize(x))
+    spf = sieve._spf
+    out = []
+    p = spf[x]
+    while p:
+        out.append(p)
+        x //= p
+        while x % p == 0:
+            x //= p
+        p = spf[x]
+    if x > 1:
+        out.append(x)
+    return out
+
+
 def vp(p: int, x: int) -> int:
     """The p-adic valuation: the largest e with p^e dividing x."""
     if not is_prime(p):

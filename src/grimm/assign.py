@@ -17,9 +17,10 @@ the strong form fails.
 from __future__ import annotations
 
 import multiprocessing
+import operator
 from dataclasses import dataclass
 
-from .arith import Window, _vp, default_sieve, factorize
+from .arith import Window, _vp, default_sieve, factorize, is_prime, prime_divisors
 from .coprime import (
     CoprimeRepresentation,
     InternalContradiction,
@@ -64,32 +65,38 @@ class RepresentationDecision:
         return self.feasible
 
 
-def grimm_instance(w: Window) -> MatchingInstance:
-    """Indices 1..n against the primes dividing the window, edge iff p | m+i."""
-    adj = {}
-    primes: list[int] = []
-    seen = set()
-    for i in range(1, w.n + 1):
-        ps = sorted(factorize(w.m + i))
-        adj[i] = tuple(ps)
-        for p in ps:
-            if p not in seen:
-                seen.add(p)
-                primes.append(p)
-    return MatchingInstance(
-        left=tuple(range(1, w.n + 1)), right=tuple(sorted(primes)), edges=adj
-    )
+def _settle_grimm(w: Window) -> GrimmAssignment | int:
+    """The checked assignment for the window, or the index it is stuck at.
+
+    A prime p >= n divides at most one of n consecutive integers, so an
+    element whose largest prime factor is >= n takes that prime.  The
+    n-smooth rest can only use primes below n; each gets one augmenting
+    search in index order, and the first that fails is the stuck index.
+    The result is checked apart from how it was built.
+    """
+    if w.m < 1:
+        raise ValueError("window base must be >= 1")
+    divisors = list(map(prime_divisors, w.values()))
+    primes = [ps[-1] for ps in divisors]
+    residual = {i: ps for i, ps in enumerate(divisors, 1) if ps[-1] < w.n}
+    pair_r: dict[int, int] = {}
+    for i in residual:
+        if not augment(residual, pair_r, i):
+            return i
+    for p, i in pair_r.items():
+        primes[i - 1] = p
+    sieve = default_sieve()
+    prime = sieve._membership.__getitem__ if max(primes) <= sieve.limit else is_prime
+    divides = not any(map(operator.mod, w.values(), primes))
+    if not (divides and len(set(primes)) == w.n and all(map(prime, primes))):
+        raise InternalContradiction(f"invalid Grimm assignment {primes} at {w}")
+    return GrimmAssignment(window=w, primes=tuple(primes))
 
 
 def grimm_assignment(w: Window) -> GrimmAssignment | None:
     """A distinct-prime assignment for the window, or None if none exists."""
-    if w.m < 1:
-        raise ValueError("window base must be >= 1")
-    inst = grimm_instance(w)
-    matching = max_matching(inst)
-    if len(matching) < w.n:
-        return None
-    return GrimmAssignment(window=w, primes=tuple(p for _, p in matching))
+    settled = _settle_grimm(w)
+    return None if isinstance(settled, int) else settled
 
 
 def representation_instance(
@@ -207,7 +214,7 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
     pair_r: dict[int, int] = {}
     value = 0
     for n in range(1, cap + 1):
-        adj[n] = sorted(factorize(m + n))
+        adj[n] = prime_divisors(m + n)
         if not augment(adj, pair_r, n):
             break
         value = n

@@ -29,14 +29,8 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import Window, default_sieve, is_prime, probable_prime
-from .assign import (
-    RepresentationDecision,
-    exact_representation_exists,
-    grimm_assignment,
-    grimm_instance,
-)
+from .assign import RepresentationDecision, _settle_grimm, exact_representation_exists
 from .coprime import InternalContradiction, construct_representation
-from .matching import max_matching
 from .smooth import in_hn
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
@@ -106,10 +100,8 @@ class VerificationReport:
 def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
     out = []
     for m, n in windows:
-        if grimm_assignment(Window(m, n)) is None:
-            inst = grimm_instance(Window(m, n))
-            matched = {i for i, _ in max_matching(inst)}
-            stuck = min(set(inst.left) - matched)
+        stuck = _settle_grimm(Window(m, n))
+        if isinstance(stuck, int):
             out.append(
                 GrimmFailure(m=m, n=n, reason=f"no distinct prime for {m + stuck}")
             )

@@ -83,18 +83,28 @@ def augment(
     """One augmenting-path step for incremental matching growth.
 
     pair_r maps right vertex -> matched left vertex and is updated in
-    place when an augmenting path from `start` is found.
+    place when an augmenting path from `start` is found.  The search is
+    depth-first in adjacency order, with an explicit stack so the path
+    length is not bounded by the interpreter's recursion limit.
     """
-
-    def walk(l: int, seen: set[int]) -> bool:
-        for r in adj[l]:
+    seen: set[int] = set()
+    trails = [iter(adj[start])]
+    via: list[int] = []  # via[k]: the right vertex taken from the k-th left vertex
+    while trails:
+        for r in trails[-1]:
             if r in seen:
                 continue
             seen.add(r)
-            other = pair_r.get(r)
-            if other is None or walk(other, seen):
-                pair_r[r] = l
+            via.append(r)
+            if r not in pair_r:
+                l = start
+                for step in via:
+                    pair_r[step], l = l, pair_r.get(step)
                 return True
-        return False
-
-    return walk(start, set())
+            trails.append(iter(adj[pair_r[r]]))
+            break
+        else:
+            trails.pop()
+            if via:
+                via.pop()
+    return False

@@ -122,6 +122,25 @@ def brute_max_matching_size(left: list[int], edges: dict[int, tuple[int, ...]]) 
     return walk(0, frozenset())
 
 
+def recursive_augment(
+    adj: dict[int, list[int]], pair_r: dict[int, int], start: int
+) -> bool:
+    """Textbook recursive Kuhn step: depth-first in adjacency order, each
+    right vertex visited at most once per call."""
+    seen: set[int] = set()
+
+    def walk(l: int) -> bool:
+        for r in adj[l]:
+            if r not in seen:
+                seen.add(r)
+                if r not in pair_r or walk(pair_r[r]):
+                    pair_r[r] = l
+                    return True
+        return False
+
+    return walk(start)
+
+
 def brute_hn(n: int, bound: int) -> list[int]:
     """Scan [4, bound] for composites whose maximal prime powers stay <= n."""
     out = []

@@ -13,6 +13,7 @@ from grimm.arith import (
     is_prime,
     max_vp_in_window,
     prime_count,
+    prime_divisors,
     probable_prime,
     representation_threshold,
     vp,
@@ -238,3 +239,15 @@ def test_sieve_factorize_matches_naive():
     for _ in range(500):
         x = rng.randrange(2, 10**6)
         assert sieve.factorize(x) == naive_factorize(x)
+
+
+def test_prime_divisors_match_naive():
+    assert prime_divisors(1) == []
+    for x in range(2, 5000):
+        assert prime_divisors(x) == sorted(naive_factorize(x)), x
+    # beyond the sieve the primes come from trial division and rho
+    for x in (10**12 + 39, 2**61 - 1, 999_983 * 1_000_003, 2**40 * 3**5):
+        assert prime_divisors(x) == sorted(factorize(x))
+    assert prime_divisors(999_983 * 1_000_003) == [999_983, 1_000_003]
+    with pytest.raises(ValueError):
+        prime_divisors(0)

@@ -2,6 +2,7 @@ import random
 
 import pytest
 
+import grimm.assign
 from grimm.arith import Window, representation_threshold
 from grimm.assign import (
     exact_representation_exists,
@@ -10,7 +11,7 @@ from grimm.assign import (
     scan_counterexamples,
     w_of_m,
 )
-from grimm.coprime import verify_representation
+from grimm.coprime import InternalContradiction, verify_representation
 from oracles import exact_representation_feasible, grimm_feasible
 
 # All-composite windows in m <= 200, n <= 12 without the full representation,
@@ -36,6 +37,29 @@ def test_grimm_fixtures():
     assert grimm_assignment(Window(1, 1)).primes == (2,)
     with pytest.raises(ValueError):
         grimm_assignment(Window(0, 3))
+
+
+def test_grimm_runtime_check_catches_defects(monkeypatch):
+    # A matcher that always claims success hands the prime 2 to both 2
+    # and 4 in the window 2, 3, 4.
+    def overclaiming(adj, pair_r, start):
+        pair_r[adj[start][0]] = start
+        return True
+
+    with monkeypatch.context() as patch:
+        patch.setattr(grimm.assign, "augment", overclaiming)
+        with pytest.raises(InternalContradiction):
+            grimm_assignment(Window(1, 3))
+    # A divisor walk that reports composites (8, 9, 10 as their own primes).
+    with monkeypatch.context() as patch:
+        patch.setattr(grimm.assign, "prime_divisors", lambda x: [x])
+        with pytest.raises(InternalContradiction):
+            grimm_assignment(Window(7, 3))
+    # One that reports a prime not dividing its element.
+    with monkeypatch.context() as patch:
+        patch.setattr(grimm.assign, "prime_divisors", lambda x: [x + 1])
+        with pytest.raises(InternalContradiction):
+            grimm_assignment(Window(5, 2))  # 6, 7 -> 7, 8
 
 
 def test_grimm_matches_oracle_sampled():

@@ -6,6 +6,7 @@ from grimm.arith import Window
 from grimm.assign import exact_representation_exists
 from grimm.conjectures import (
     CompositeRun,
+    _grimm_chunk,
     conjecture1_probe,
     conjecture2_i,
     conjecture2_ii,
@@ -94,6 +95,16 @@ def test_verify_grimm_long_runs_below_threshold():
     report = verify_grimm_range(427, min_len=7)
     assert report.windows_checked == 15
     assert report.ok
+
+
+def test_grimm_chunk_names_stuck_element():
+    # 2, 3, 4: 3 takes itself, 2 and 4 compete for the prime 2 and the
+    # later one, 4, is where the augmenting search fails.
+    failures = _grimm_chunk([(1, 3)])
+    assert len(failures) == 1
+    (f,) = failures
+    assert (f.m, f.n) == (1, 3)
+    assert f.reason == "no distinct prime for 4"
 
 
 def test_verify_grimm_worker_independence():

@@ -3,7 +3,7 @@ import random
 import pytest
 
 from grimm.matching import MatchingInstance, augment, max_matching
-from oracles import brute_max_matching_size
+from oracles import brute_max_matching_size, recursive_augment
 
 
 def test_complete_bipartite():
@@ -84,3 +84,29 @@ def test_incremental_augment_matches_batch():
             edges={l: tuple(adj[l]) for l in left},
         )
         assert grown == len(max_matching(inst))
+
+
+def test_augment_matches_recursive_reference():
+    # Same search order as the recursive Kuhn step, so the same pair_r.
+    rng = random.Random(47)
+    for _ in range(300):
+        left = list(range(1, rng.randrange(2, 10)))
+        right = list(range(40, 40 + rng.randrange(2, 10)))
+        adj = {l: [r for r in right if rng.random() < 0.4] for l in left}
+        rng.shuffle(left)
+        got: dict[int, int] = {}
+        want: dict[int, int] = {}
+        for l in left:
+            assert augment(adj, got, l) == recursive_augment(adj, want, l)
+            assert got == want
+
+
+def test_augment_long_path_under_default_recursion_limit():
+    # Left k is matched to right k and also adjacent to right k+1; a new
+    # left vertex 0 reaching right 1 forces an augmenting path through all
+    # of them, 2k+1 = 3001 edges, deeper than the default recursion limit.
+    k = 1500
+    adj = {0: [1], **{i: [i, i + 1] for i in range(1, k + 1)}}
+    pair_r = {i: i for i in range(1, k + 1)}
+    assert augment(adj, pair_r, 0)
+    assert pair_r == {i + 1: i for i in range(k + 1)}
