@@ -8,6 +8,7 @@ places where a result would otherwise silently degrade.
 
 from __future__ import annotations
 
+import bisect
 import math
 import random
 from dataclasses import dataclass
@@ -81,6 +82,14 @@ class PrimeSieve:
         if x < 0 or x > self.limit:
             raise ValueError(f"{x} outside sieve range [0, {self.limit}]")
         return bool(self._membership[x])
+
+    def composite_run(self, m: int, cap: int) -> int:
+        """How many of m+1, m+2, ... are non-prime in a row, at most cap."""
+        if m < 0 or m + cap > self.limit:
+            raise ValueError(f"{m + cap} outside sieve range [0, {self.limit}]")
+        k = bisect.bisect_right(self.primes, m)
+        following = self.primes[k] if k < len(self.primes) else self.limit + 1
+        return min(cap, following - m - 1)
 
     def prime_count(self, x: int) -> int:
         """pi(x), the number of primes <= x."""
@@ -207,6 +216,16 @@ def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
         if x % p == 0:
             return False
     return _mr_random(x, rounds, seed)
+
+
+def all_prime(xs: list[int]) -> bool:
+    """Whether every x in xs is prime: read off the shared sieve's table
+    when all of them lie within it, by is_prime otherwise."""
+    sieve = default_sieve()
+    if xs and 2 <= min(xs) and max(xs) <= sieve.limit:
+        # Within the sieve, x >= 2 is prime iff it has no smallest-prime-factor entry.
+        return not any(map(sieve._spf.__getitem__, xs))
+    return all(map(is_prime, xs))
 
 
 def _brent_rho(n: int) -> int:

@@ -11,7 +11,9 @@ Two questions, in increasing strength, for the window m+1 .. m+n:
 Both reduce to bipartite matchings that must saturate the index side.
 g_of_m and w_of_m extend them to "largest workable n", and
 scan_counterexamples sweeps a rectangle for all-composite windows where
-the strong form fails.
+the strong form fails.  Those two walk each row m once: a window whose
+canonical representation has every part > 1 is settled by it, and only
+the rest reach the matching.
 """
 
 from __future__ import annotations
@@ -20,8 +22,9 @@ import multiprocessing
 import operator
 from dataclasses import dataclass
 
-from .arith import Window, _vp, default_sieve, factorize, is_prime, prime_divisors
+from .arith import Window, _vp, all_prime, default_sieve, factorize, prime_divisors
 from .coprime import (
+    CanonicalRow,
     CoprimeRepresentation,
     InternalContradiction,
     verify_representation,
@@ -85,10 +88,8 @@ def _settle_grimm(w: Window) -> GrimmAssignment | int:
             return i
     for p, i in pair_r.items():
         primes[i - 1] = p
-    sieve = default_sieve()
-    prime = sieve._membership.__getitem__ if max(primes) <= sieve.limit else is_prime
     divides = not any(map(operator.mod, w.values(), primes))
-    if not (divides and len(set(primes)) == w.n and all(map(prime, primes))):
+    if not (divides and len(set(primes)) == w.n and all_prime(primes)):
         raise InternalContradiction(f"invalid Grimm assignment {primes} at {w}")
     return GrimmAssignment(window=w, primes=tuple(primes))
 
@@ -221,6 +222,28 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap)
 
 
+def _decide_row(m: int, n_lo: int, n_hi: int):
+    """(n, blocking evidence or None if feasible) for n = n_lo .. n_hi.
+
+    The row's canonical representations are grown one element at a time.
+    A window whose canonical parts are all > 1 is feasible, once its
+    certificate passes verify_representation; the rest go to
+    exact_representation_exists, which supplies the blocking evidence.
+    """
+    row = CanonicalRow(m)
+    for n in range(1, n_hi + 1):
+        row.extend()
+        if n < n_lo:
+            continue
+        rep = row.representation()
+        if rep.all_factors_nontrivial:
+            if not verify_representation(rep):
+                raise InternalContradiction(f"canonical certificate fails at {rep.window}")
+            yield n, None
+        else:
+            yield n, exact_representation_exists(Window(m, n)).blocking
+
+
 W_CAP_GUARD = 10_000
 
 
@@ -236,9 +259,7 @@ def w_of_m(m: int, cap: int) -> LargestN:
         raise ValueError("need m >= 1 and cap >= 1")
     if cap > W_CAP_GUARD:
         raise ValueError(f"cap {cap} beyond the runtime guard {W_CAP_GUARD}")
-    bitmap = tuple(
-        exact_representation_exists(Window(m, n)).feasible for n in range(1, cap + 1)
-    )
+    bitmap = tuple(blocking is None for _, blocking in _decide_row(m, 1, cap))
     value = max((n for n in range(1, cap + 1) if bitmap[n - 1]), default=0)
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap, feasible=bitmap)
 
@@ -257,15 +278,10 @@ def _scan_chunk(args) -> list[Counterexample]:
     sieve = default_sieve(m_hi + n_hi + 1)
     out = []
     for m in range(m_lo, m_hi + 1):
-        run = 0
-        while run < n_hi and not sieve.is_prime(m + run + 1):
-            run += 1
-        for n in range(n_lo, min(run, n_hi) + 1):
-            decision = exact_representation_exists(Window(m, n))
-            if not decision.feasible:
-                out.append(
-                    Counterexample(m=m, n=n, blocking_value=decision.blocking.value)
-                )
+        run = sieve.composite_run(m, n_hi)
+        for n, blocking in _decide_row(m, n_lo, run):
+            if blocking is not None:
+                out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
     return out
 
 

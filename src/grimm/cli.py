@@ -6,7 +6,9 @@ merges).  Wall-clock timing is therefore left out of reports unless
 --timings asks for it.
 
 Exit status: 0 clean, 1 completed with findings (counterexamples or
-conjecture violations -- still a successful run), 2 usage or guard error.
+conjecture violations -- still a successful run), 2 usage or guard error,
+3 internal error (a failed runtime check, or memory or recursion depth
+exhausted), reported as one JSON line on stderr.
 """
 
 from __future__ import annotations
@@ -39,6 +41,7 @@ SCHEMA_VERSION = 1
 EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
+EXIT_INTERNAL = 3
 
 
 def _default_workers() -> int:
@@ -352,12 +355,33 @@ def _render_text(report: dict) -> str:
 def run(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    t0 = time.monotonic()
     try:
-        payload, findings = _run_subcommand(args)
+        return _report(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_ERROR
+    except Exception as exc:
+        # A defect or an exhausted resource; it must not read as findings.
+        # The raising frame is walked to by hand: importing traceback would
+        # add about 0.25 MB to the peak RSS of every run.
+        tb = exc.__traceback__
+        while tb.tb_next is not None:
+            tb = tb.tb_next
+        code = tb.tb_frame.f_code
+        error = {
+            "schema_version": SCHEMA_VERSION,
+            "status": "internal_error",
+            "error": type(exc).__name__,
+            "message": str(exc),
+            "where": f"{os.path.basename(code.co_filename)}:{tb.tb_lineno} in {code.co_name}",
+        }
+        print(json.dumps(error, sort_keys=True), file=sys.stderr)
+        return EXIT_INTERNAL
+
+
+def _report(args) -> int:
+    t0 = time.monotonic()
+    payload, findings = _run_subcommand(args)
     config = {
         "subcommand": args.subcommand,
         "params": {

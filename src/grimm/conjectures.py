@@ -29,7 +29,12 @@ import time
 from dataclasses import dataclass, field
 
 from .arith import Window, default_sieve, is_prime, probable_prime
-from .assign import RepresentationDecision, _settle_grimm, exact_representation_exists
+from .assign import (
+    RepresentationDecision,
+    _decide_row,
+    _settle_grimm,
+    exact_representation_exists,
+)
 from .coprime import InternalContradiction, construct_representation
 from .smooth import in_hn
 
@@ -167,12 +172,10 @@ def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
     failures = []
     fallback = []
     for m in range(1, m_max + 1):
-        run = 0
-        while run < max_n and not sieve.is_prime(m + run + 1):
-            run += 1
-        for n in range(2, run + 1):
+        run = sieve.composite_run(m, max_n)
+        for n, blocking in _decide_row(m, 2, run):
             checked += 1
-            if not exact_representation_exists(Window(m, n)).feasible:
+            if blocking is not None:
                 failures.append((m, n))
         if run >= max_n:
             inside = tuple(

@@ -10,14 +10,15 @@ enforces that stronger form.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass
 
 from .arith import (
     Window,
     _vp,
     _vp_binomial,
+    all_prime,
     factorize,
-    is_prime,
     representation_threshold,
 )
 from .smooth import in_hn
@@ -42,7 +43,7 @@ class CoprimeRepresentation:
 
     @property
     def all_factors_nontrivial(self) -> bool:
-        return all(a > 1 for a in self.factors)
+        return min(self.factors, default=2) > 1
 
 
 def window_prime_exponents(w: Window) -> dict[int, int]:
@@ -64,6 +65,60 @@ def window_prime_exponents(w: Window) -> dict[int, int]:
     return out
 
 
+class CanonicalRow:
+    """The canonical representations of C(m+n, n) for n = 1, 2, ..., one
+    window element at a time.
+
+    Each step factors the new element m+n once and moves the exponents by
+    the ratio C(m+n, n) / C(m+n-1, n-1) = (m+n) / n:
+    e_p(m, n) = e_p(m, n-1) + v_p(m+n) - v_p(n).  Per prime it keeps the
+    largest valuation in the window and the smallest index attaining it,
+    which is where the canonical rule puts the prime's power.
+    """
+
+    def __init__(self, m: int):
+        if m < 0:
+            raise ValueError(f"window base must be >= 0, got m={m}")
+        self.m = m
+        self.n = 0
+        self._exps: dict[int, int] = {}
+        self._top: dict[int, int] = {}
+        self._at: dict[int, int] = {}
+
+    def extend(self) -> None:
+        """Grow the window by its next element m+n+1."""
+        n = self.n + 1
+        exps, top = self._exps, self._top
+        for p, v in factorize(self.m + n).items():
+            exps[p] = exps.get(p, 0) + v
+            if v > top.get(p, 0):
+                top[p] = v
+                self._at[p] = n
+        # Every prime of n is at most n, so it divides a window element
+        # and already has an entry.
+        for p, v in factorize(n).items():
+            exps[p] -= v
+        self.n = n
+
+    def representation(self) -> CoprimeRepresentation:
+        """The canonical representation of the current window m+1 .. m+n."""
+        top, at = self._top, self._at
+        assignment = [(p, e, at[p]) for p, e in sorted(self._exps.items()) if e]
+        factors = [1] * self.n
+        for p, e, i in assignment:
+            if e > top[p]:
+                raise InternalContradiction(
+                    f"v_{p} of the coefficient exceeds the window maximum"
+                    f" at m={self.m}, n={self.n}"
+                )
+            factors[i - 1] *= p**e
+        return CoprimeRepresentation(
+            window=Window(self.m, self.n),
+            factors=tuple(factors),
+            assignment=tuple(assignment),
+        )
+
+
 def construct_representation(w: Window) -> CoprimeRepresentation:
     """The canonical representation: each prime power of C(m+n, n) goes to
     the smallest window index of maximal valuation.
@@ -71,25 +126,10 @@ def construct_representation(w: Window) -> CoprimeRepresentation:
     Total for every window (degenerate ones included); factors equal to 1
     are allowed here.
     """
-    m, n = w.m, w.n
-    factors = [1] * n
-    assignment = []
-    for p, e in window_prime_exponents(w).items():
-        best_t, best_i = 0, 0
-        first = m + 1 + (-(m + 1)) % p
-        for x in range(first, m + n + 1, p):
-            t = _vp(p, x)
-            if t > best_t:
-                best_t, best_i = t, x - m
-        if e > best_t:
-            raise InternalContradiction(
-                f"v_{p} of the coefficient exceeds the window maximum at {w}"
-            )
-        factors[best_i - 1] *= p**e
-        assignment.append((p, e, best_i))
-    return CoprimeRepresentation(
-        window=w, factors=tuple(factors), assignment=tuple(assignment)
-    )
+    row = CanonicalRow(w.m)
+    for _ in range(w.n):
+        row.extend()
+    return row.representation()
 
 
 def representation_from_factors(w: Window, factors) -> CoprimeRepresentation:
@@ -110,35 +150,29 @@ def representation_from_factors(w: Window, factors) -> CoprimeRepresentation:
 
 
 def verify_representation(r: CoprimeRepresentation) -> bool:
-    """Exact check of all representation invariants.
+    """Exact check of all representation invariants, sharing no code with
+    any construction.
 
-    Divisibility a_i | (m+i); pairwise coprimality; product equal to
-    C(m+n, n), compared prime-by-prime in factored form; and assignment
-    consistency (primes distinct, exponents positive, per-index products
-    matching the parts).
+    Divisibility a_i | (m+i); assignment consistency (distinct primes,
+    positive exponents, per-index products equal to the parts, which makes
+    the parts pairwise coprime); and prod(a_i) == C(m+n, n), which, the
+    primes being distinct, pins every exponent.
     """
     w = r.window
     m, n = w.m, w.n
-    if len(r.factors) != n:
+    if len(r.factors) != n or min(r.factors) < 1:
         return False
-    for i, a in enumerate(r.factors, start=1):
-        if a < 1 or (m + i) % a != 0:
-            return False
-    for i in range(n):
-        for j in range(i + 1, n):
-            if math.gcd(r.factors[i], r.factors[j]) != 1:
-                return False
+    if any(map(operator.mod, w.values(), r.factors)):
+        return False
+    primes = [p for p, _, _ in r.assignment]
+    if len(set(primes)) != len(primes) or not all_prime(primes):
+        return False
     rebuilt = [1] * n
-    merged: dict[int, int] = {}
     for p, e, i in r.assignment:
-        if e < 1 or not 1 <= i <= n or p in merged or not is_prime(p):
+        if e < 1 or not 1 <= i <= n:
             return False
-        merged[p] = e
         rebuilt[i - 1] *= p**e
-    if tuple(rebuilt) != r.factors:
-        return False
-    expected = window_prime_exponents(w)
-    return merged == expected
+    return tuple(rebuilt) == r.factors and math.prod(r.factors) == math.comb(m + n, n)
 
 
 def full_representation(w: Window) -> CoprimeRepresentation:

@@ -62,6 +62,16 @@ def binomial_prime_exponents(m: int, n: int) -> dict[int, int]:
     return out
 
 
+def canonical_factors(m: int, n: int) -> tuple[int, ...]:
+    """The canonical parts: each prime power of C(m+n, n) on the smallest
+    index whose element has the largest valuation at that prime."""
+    factors = [1] * n
+    for p, e in binomial_prime_exponents(m, n).items():
+        vals = [naive_vp(p, m + i) for i in range(1, n + 1)]
+        factors[vals.index(max(vals))] *= p**e
+    return tuple(factors)
+
+
 def exact_representation_feasible(m: int, n: int) -> bool:
     """Exhaustive search: can every index take a distinct coefficient prime
     whose full power it absorbs?"""

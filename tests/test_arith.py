@@ -8,6 +8,7 @@ from grimm.arith import (
     DETERMINISTIC_PRIMALITY_BOUND,
     PrimeSieve,
     Window,
+    all_prime,
     default_sieve,
     factorize,
     is_prime,
@@ -20,7 +21,7 @@ from grimm.arith import (
     vp_binomial,
     vp_factorial,
 )
-from oracles import iterated_lcm, naive_factorize, naive_vp
+from oracles import iterated_lcm, naive_factorize, naive_is_prime, naive_vp
 
 
 def test_window_validation():
@@ -251,3 +252,27 @@ def test_prime_divisors_match_naive():
     assert prime_divisors(999_983 * 1_000_003) == [999_983, 1_000_003]
     with pytest.raises(ValueError):
         prime_divisors(0)
+
+
+def test_composite_run_matches_naive_walk():
+    s = PrimeSieve(200)
+    for m in range(0, 180):
+        for cap in (0, 1, 7, 20):
+            run = 0
+            while run < cap and not naive_is_prime(m + run + 1):
+                run += 1
+            assert s.composite_run(m, cap) == run, (m, cap)
+    assert s.composite_run(113, 20) == 13  # 114..126 between primes 113 and 127
+    assert s.composite_run(199, 1) == 1    # no prime left in the table: 200
+    with pytest.raises(ValueError):
+        s.composite_run(190, 11)
+
+
+def test_all_prime_table_and_beyond():
+    limit = default_sieve().limit
+    assert all_prime([]) and all_prime([2, 3, 999_983])
+    for bad in ([2, 4], [0, 3], [1], [-7, 3], [2, 999_981]):
+        assert not all_prime(bad), bad
+    beyond = [p for p in range(limit + 1, limit + 200) if naive_is_prime(p)]
+    assert all_prime([2] + beyond)
+    assert not all_prime([2, beyond[0] * 3])

@@ -1,9 +1,10 @@
+import dataclasses
 import random
 
 import pytest
 
 import grimm.assign
-from grimm.arith import Window, representation_threshold
+from grimm.arith import Window, default_sieve, representation_threshold
 from grimm.assign import (
     exact_representation_exists,
     g_of_m,
@@ -11,7 +12,7 @@ from grimm.assign import (
     scan_counterexamples,
     w_of_m,
 )
-from grimm.coprime import InternalContradiction, verify_representation
+from grimm.coprime import CanonicalRow, InternalContradiction, verify_representation
 from oracles import exact_representation_feasible, grimm_feasible
 
 # All-composite windows in m <= 200, n <= 12 without the full representation,
@@ -209,3 +210,33 @@ def test_scan_worker_independence():
     solo = scan_counterexamples((1, 4500), (1, 8), workers=1)
     duo = scan_counterexamples((1, 4500), (1, 8), workers=2)
     assert solo == duo
+
+
+def corrupt_canonical(monkeypatch):
+    """Make every canonical certificate claim one power of its first prime
+    too many, leaving its parts as they were."""
+    real = CanonicalRow.representation
+
+    def corrupted(row):
+        rep = real(row)
+        (p, e, i), *rest = rep.assignment
+        return dataclasses.replace(rep, assignment=((p, e + 1, i), *rest))
+
+    monkeypatch.setattr(CanonicalRow, "representation", corrupted)
+
+
+def test_scan_checks_canonical_certificates(monkeypatch):
+    corrupt_canonical(monkeypatch)
+    with pytest.raises(InternalContradiction):
+        scan_counterexamples((1, 200), (1, 12))
+    with pytest.raises(InternalContradiction):
+        w_of_m(118, 8)
+
+
+def test_w_matches_per_window_decisions():
+    limit = default_sieve().limit
+    for m, cap in ((1, 2), (2, 4), (118, 8), (113, 14), (2000, 30), (limit + 3, 12)):
+        expected = tuple(
+            exact_representation_exists(Window(m, n)).feasible for n in range(1, cap + 1)
+        )
+        assert w_of_m(m, cap).feasible == expected, m

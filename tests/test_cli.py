@@ -1,8 +1,17 @@
 import json
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 
-from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_OK, run
+import grimm.cli
+from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, run
+from grimm.coprime import InternalContradiction
+
+SRC = Path(__file__).resolve().parents[1] / "src"
 
 
 def run_capture(capsys, *argv):
@@ -200,3 +209,58 @@ def test_worker_default_from_environment(monkeypatch, capsys):
     monkeypatch.setenv("GRIMM_WORKERS", "junk")
     code, out = run_capture(capsys, "g", "--m", "10", "--format", "json")
     assert json.loads(out)["config"]["params"]["workers"] == 1
+
+
+@pytest.mark.parametrize(
+    "exc", [InternalContradiction("bad certificate"), MemoryError(), RecursionError("deep")]
+)
+def test_crash_is_internal_error_not_findings(monkeypatch, capsys, exc):
+    def crash(*args):
+        raise exc
+
+    monkeypatch.setattr(grimm.cli, "scan_counterexamples", crash)
+    code = run(["scan", "--m-max", "200", "--n-max", "12"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["status"] == "internal_error"
+    assert error["error"] == type(exc).__name__
+    assert error["message"] == str(exc)
+    assert error["where"].endswith("in crash")
+
+
+# Loaded by the interpreter at start-up (the directory is on PYTHONPATH):
+# every canonical certificate claims one power of its first prime too many.
+CORRUPTING_SITECUSTOMIZE = """
+import dataclasses
+from grimm.coprime import CanonicalRow
+
+_real = CanonicalRow.representation
+
+def _corrupted(row):
+    rep = _real(row)
+    (p, e, i), *rest = rep.assignment
+    return dataclasses.replace(rep, assignment=((p, e + 1, i), *rest))
+
+CanonicalRow.representation = _corrupted
+"""
+
+
+def test_module_entry_exits_3_on_a_corrupted_certificate(tmp_path):
+    (tmp_path / "sitecustomize.py").write_text(textwrap.dedent(CORRUPTING_SITECUSTOMIZE))
+    argv = [sys.executable, "-m", "grimm", "scan", "--m-max", "200", "--n-max", "12"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)]))
+    env.pop("GRIMM_WORKERS", None)
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INTERNAL, done.stderr
+    assert done.stdout == ""
+    error = json.loads(done.stderr)
+    assert error["error"] == "InternalContradiction"
+    assert "canonical certificate fails" in error["message"]
+    # the same command without the corruption completes with findings
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_FINDINGS, done.stderr
+    assert "blocking_value" in done.stdout

@@ -3,8 +3,11 @@ import random
 
 import pytest
 
-from grimm.arith import Window, representation_threshold
+import grimm.arith
+from grimm.arith import Window, default_sieve, representation_threshold
 from grimm.coprime import (
+    CanonicalRow,
+    CoprimeRepresentation,
     construct_representation,
     dominant_prime_witness,
     full_representation,
@@ -12,7 +15,7 @@ from grimm.coprime import (
     verify_representation,
     window_prime_exponents,
 )
-from oracles import binomial_prime_exponents, naive_vp
+from oracles import binomial_prime_exponents, canonical_factors, naive_is_prime, naive_vp
 
 
 def test_construct_203_7():
@@ -154,3 +157,67 @@ def test_witness_properties_randomized():
             assert p**v > n
             e = binomial_prime_exponents(m, n).get(p, 0)
             assert 1 <= e <= v
+
+
+def test_row_exponents_match_floor_sums():
+    # e_p(m, n) = e_p(m, n-1) + v_p(m+n) - v_p(n), against the floor sums
+    for m in range(300):
+        row = CanonicalRow(m)
+        for n in range(1, 40):
+            row.extend()
+            got = {p: e for p, e, _ in row.representation().assignment}
+            assert got == window_prime_exponents(Window(m, n)), (m, n)
+
+
+def test_row_representation_is_canonical():
+    rng = random.Random(31)
+    limit = default_sieve().limit  # windows past it are factored without the table
+    for _ in range(60):
+        m = rng.choice((rng.randrange(1, 10**5), rng.randrange(limit, limit + 10**5)))
+        row = CanonicalRow(m)
+        for n in range(1, 17):
+            row.extend()
+            rep = row.representation()
+            assert rep == construct_representation(Window(m, n))
+            assert rep.factors == canonical_factors(m, n), (m, n)
+            assert verify_representation(rep)
+
+
+def test_verify_rejects_each_defect():
+    w = Window(203, 7)
+    good = construct_representation(w)
+    assert verify_representation(good)
+    p, e, i = good.assignment[0]  # 2^3 on 208
+    # a missing prime: the parts divide their elements but their product
+    # falls short of C(210, 7)
+    factors = list(good.factors)
+    factors[i - 1] //= p**e
+    rest = good.assignment[1:]
+    assert not verify_representation(CoprimeRepresentation(w, tuple(factors), rest))
+    # a wrong exponent, carried into the parts as well
+    factors[i - 1] *= p ** (e - 1)
+    wrong = ((p, e - 1, i),) + rest
+    assert not verify_representation(CoprimeRepresentation(w, tuple(factors), wrong))
+    # parts that are not coprime, with the product still C(4, 3) = 4 and
+    # every part dividing its element (2 | 2, 1 | 3, 2 | 4)
+    twice = Window(1, 3)
+    for assignment in (((2, 1, 1),), ((2, 1, 1), (2, 1, 3))):
+        assert not verify_representation(CoprimeRepresentation(twice, (2, 1, 2), assignment))
+    # a composite entry whose power is otherwise consistent: C(4, 1) = 4
+    assert not verify_representation(CoprimeRepresentation(Window(3, 1), (4,), ((4, 1, 1),)))
+
+
+def test_verify_primality_beyond_the_sieve(monkeypatch):
+    limit = default_sieve().limit
+    prime = next(x for x in range(limit + 1, 2 * limit) if naive_is_prime(x))
+    composite = next(
+        x for x in range(limit + 1, 2 * limit) if x % 2 and not naive_is_prime(x)
+    )
+    calls = []
+    real = grimm.arith.is_prime
+    monkeypatch.setattr(grimm.arith, "is_prime", lambda x: calls.append(x) or real(x))
+    # the window x-1+1 = x: C(x, 1) = x is one part owning a single "prime" x
+    for x, expected in ((prime, True), (composite, False)):
+        rep = CoprimeRepresentation(Window(x - 1, 1), (x,), ((x, 1, 1),))
+        assert verify_representation(rep) is expected
+    assert calls == [prime, composite]
