@@ -154,24 +154,27 @@ def is_prime(x: int) -> bool:
         raise ValueError(
             f"{x} exceeds the deterministic witness bound; use probable_prime"
         )
-    d = x - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
-    for a in _MR_BASES:
-        if a % x == 0:
-            continue
-        y = pow(a, d, x)
-        if y == 1 or y == x - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
+    d, s = _odd_part(x - 1)
+    return all(a % x == 0 or _sprp(x, a, d, s) for a in _MR_BASES)
+
+
+def _odd_part(y: int) -> tuple[int, int]:
+    """(d, s) with y = d * 2^s and d odd, for y > 0."""
+    s = (y & -y).bit_length() - 1
+    return y >> s, s
+
+
+def _sprp(x: int, a: int, d: int, s: int) -> bool:
+    """Whether odd x > 2, with x - 1 = d * 2^s and d odd, is a strong
+    probable prime to base a.  False proves x composite."""
+    y = pow(a, d, x)
+    if y == 1 or y == x - 1:
+        return True
+    for _ in range(s - 1):
+        y = y * y % x
+        if y == x - 1:
+            return True
+    return False
 
 
 def _mr_random(x: int, rounds: int, seed: int) -> bool:
@@ -183,39 +186,27 @@ def _mr_random(x: int, rounds: int, seed: int) -> bool:
     for p in _SMALL_PRIMES:
         if x % p == 0:
             return x == p
-    d = x - 1
-    s = 0
-    while d % 2 == 0:
-        d //= 2
-        s += 1
+    d, s = _odd_part(x - 1)
     rng = random.Random((seed << 64) ^ (x % (1 << 64)))
-    for _ in range(rounds):
-        a = rng.randrange(2, x - 1)
-        y = pow(a, d, x)
-        if y == 1 or y == x - 1:
-            continue
-        for _ in range(s - 1):
-            y = y * y % x
-            if y == x - 1:
-                break
-        else:
-            return False
-    return True
+    return all(_sprp(x, rng.randrange(2, x - 1), d, s) for _ in range(rounds))
 
 
 def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
     """Primality for arbitrary-size integers.
 
-    Below the deterministic witness bound this is exact.  Above it, trial
-    division by the primes under 10^4 is followed by `rounds` seeded
-    random-base rounds (reproducible; composite error below 4^(-rounds)).
+    Below the deterministic witness bound this is exact.  Above it: trial
+    division by the primes under 10^4, one strong round to base 2, then
+    `rounds` seeded random-base rounds (reproducible; composite error below
+    4^(-rounds)).  A failed base-2 round proves x composite; a pass still
+    faces every random round.
     """
     if x < DETERMINISTIC_PRIMALITY_BOUND:
         return is_prime(x)
     for p in default_sieve().primes[:1229]:  # primes below 10^4
         if x % p == 0:
             return False
-    return _mr_random(x, rounds, seed)
+    d, s = _odd_part(x - 1)
+    return _sprp(x, 2, d, s) and _mr_random(x, rounds, seed)
 
 
 def all_prime(xs: list[int]) -> bool:

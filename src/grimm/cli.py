@@ -308,11 +308,21 @@ _CSV_TABLES = {
 
 
 def render_report(report: dict, fmt: str) -> str:
-    if fmt == "json":
-        return json.dumps(report, indent=2, sort_keys=True) + "\n"
-    if fmt == "csv":
-        return _render_csv(report)
-    return _render_text(report)
+    # Integers are exact at any size: Python's integer-to-string digit limit
+    # is lifted while the report renders and put back afterwards.
+    limited = hasattr(sys, "set_int_max_str_digits")
+    if limited:
+        saved = sys.get_int_max_str_digits()
+        sys.set_int_max_str_digits(0)
+    try:
+        if fmt == "json":
+            return json.dumps(report, indent=2, sort_keys=True) + "\n"
+        if fmt == "csv":
+            return _render_csv(report)
+        return _render_text(report)
+    finally:
+        if limited:
+            sys.set_int_max_str_digits(saved)
 
 
 def _render_csv(report: dict) -> str:

@@ -28,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import Window, default_sieve, is_prime, probable_prime
+from .arith import Window, default_sieve, is_prime
 from .assign import (
     RepresentationDecision,
     _decide_row,
@@ -36,6 +36,7 @@ from .assign import (
     exact_representation_exists,
 )
 from .coprime import InternalContradiction, construct_representation
+from .primegen import first_prime
 from .smooth import in_hn
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
@@ -243,12 +244,11 @@ class DivisorProbe:
 
 def _find_prime(lo: int, hi: int, lo_open: bool, hi_open: bool) -> IntervalProbe:
     start = lo + 1 if lo_open else lo
-    stop = hi - 1 if hi_open else hi
-    prime = None
-    for x in range(max(start, 2), stop + 1):
-        if probable_prime(x):
-            prime = x
-            break
+    count = max(0, (hi - 1 if hi_open else hi) - start + 1)
+    # Sieving primes below the interval length: each strikes at least one
+    # value, and deeper ones cost more mods than the tests they would save
+    # at the sizes these probes reach.
+    prime = first_prime(start, count, 1, range(count), depth=count)
     return IntervalProbe(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open, prime=prime)
 
 

@@ -9,9 +9,11 @@ n = 2*floor(p_1/2) + 1, so it is reported rather than raised.
 
 from __future__ import annotations
 
+import bisect
 from dataclasses import dataclass
+from itertools import islice
 
-from .arith import default_sieve, probable_prime
+from .arith import DEFAULT_SIEVE_LIMIT, default_sieve, probable_prime
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -135,6 +137,45 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
     return PrimePool(primes=tuple(found))
 
 
+def first_prime(
+    start: int,
+    count: int,
+    step: int,
+    order,
+    depth: int,
+    rounds: int = DEFAULT_MR_ROUNDS,
+    seed: int = 0,
+) -> int | None:
+    """The first probable prime among the values start + i*step, 0 <= i < count,
+    taken in the index order `order`; None when there is none.
+
+    step is 1, or 2 with start odd.  The progression is sieved once before
+    any test: every prime p below depth that can divide its values (odd p
+    when step is 2) costs one start mod p and strikes its multiples other
+    than p itself, all of which are composite or below 2.  Only unstruck
+    values >= 2 reach probable_prime, so the answer is that of testing every
+    value in order.
+    """
+    if step not in (1, 2) or step == 2 and start % 2 == 0:
+        raise ValueError("step must be 1, or 2 with an odd start")
+    alive = bytearray(b"\x01") * count
+    primes = default_sieve().primes
+    neg = -start
+    # primes[0] = 2 sieves only the unit step
+    for p in islice(primes, step - 1, bisect.bisect_left(primes, depth)):
+        # start + i*step = 0 (mod p); the inverse of 2 mod odd p is (p+1)/2
+        i = neg % p * ((p + 1) // 2 if step == 2 else 1) % p
+        if i < count:
+            alive[i::p] = bytes(len(range(i, count, p)))
+            if start <= p < start + count * step:
+                alive[(p - start) // step] = 1
+    for i in order:
+        x = start + i * step
+        if x >= 2 and alive[i] and probable_prime(x, rounds, seed):
+            return x
+    return None
+
+
 def sweep(
     k: int, p1: int, mr_rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0
 ) -> GenerationResult:
@@ -142,20 +183,25 @@ def sweep(
 
     k must be odd (pools containing 2 make the even offsets pointless).
     Returns the first prime in that fixed order; an empty sweep is flagged
-    as a Conjecture 2 violation for n = 2*floor(p1/2) + 1.
+    as a Conjecture 2 violation for n = 2*floor(p1/2) + 1.  The interval is
+    sieved by the odd primes of the shared sieve first: a 2048-bit
+    candidate costs a modular power per test, a sieving prime one k mod p.
     """
     if k % 2 == 0:
         raise ValueError("k must be odd")
-    for step in range(1, p1 // 2 + 1):
-        for candidate in (k + 2 * step, k - 2 * step):
-            if candidate >= 2 and probable_prime(candidate, mr_rounds, seed):
-                return GenerationResult(
-                    k=k,
-                    offset=candidate - k,
-                    prime=candidate,
-                    bit_length=candidate.bit_length(),
-                    conjecture2_violation=False,
-                )
+    half = p1 // 2
+    order = (half + sign * j for j in range(1, half + 1) for sign in (1, -1))
+    prime = first_prime(
+        k - 2 * half, 2 * half + 1, 2, order, DEFAULT_SIEVE_LIMIT, mr_rounds, seed
+    )
+    if prime is not None:
+        return GenerationResult(
+            k=k,
+            offset=prime - k,
+            prime=prime,
+            bit_length=prime.bit_length(),
+            conjecture2_violation=False,
+        )
     return GenerationResult(
         k=k,
         offset=None,

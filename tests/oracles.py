@@ -2,12 +2,16 @@
 
 Everything here deliberately avoids the package's own algorithms: primality
 is plain trial division, binomial valuations come from dividing math.comb
-directly, feasibility decisions are exhaustive assignment searches.
+directly, feasibility decisions are exhaustive assignment searches.  The one
+exception is naive_sweep, a reference for the sieve in front of the primality
+test, not for the test itself.
 """
 
 from __future__ import annotations
 
 import math
+
+from grimm.arith import probable_prime
 
 
 def naive_is_prime(x: int) -> bool:
@@ -160,3 +164,13 @@ def brute_hn(n: int, bound: int) -> list[int]:
         if all(p**e <= n for p, e in naive_factorize(x).items()):
             out.append(x)
     return out
+
+
+def naive_sweep(k: int, p1: int) -> int | None:
+    """The first prime among k+2, k-2, k+4, k-4, ... out to +/- 2*floor(p1/2),
+    with probable_prime on every candidate >= 2 and no sieve."""
+    for step in range(1, p1 // 2 + 1):
+        for x in (k + 2 * step, k - 2 * step):
+            if x >= 2 and probable_prime(x):
+                return x
+    return None

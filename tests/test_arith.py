@@ -21,6 +21,7 @@ from grimm.arith import (
     vp_binomial,
     vp_factorial,
 )
+from grimm.arith import _odd_part, _sprp  # the strong-round core
 from oracles import iterated_lcm, naive_factorize, naive_is_prime, naive_vp
 
 
@@ -76,6 +77,19 @@ def test_probable_prime_big_inputs():
     assert probable_prime(2**89 - 1)
     assert not probable_prime(2**89 - 3)
     assert not probable_prime((2**89 - 1) ** 2)
+
+
+def test_probable_prime_base_two_pass_is_not_a_verdict():
+    # A composite Mersenne number is a strong probable prime to base 2; with
+    # no factor below 10^4 and above the deterministic bound, only the random
+    # rounds can reject it.
+    x = 2**101 - 1
+    assert x == 7432339208719 * 341117531003194129
+    assert x > DETERMINISTIC_PRIMALITY_BOUND
+    assert all(x % p for p in range(2, 10**4))
+    d, s = _odd_part(x - 1)
+    assert _sprp(x, 2, d, s)
+    assert probable_prime(x) is False
 
 
 def test_factorize_fixtures():

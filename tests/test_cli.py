@@ -264,3 +264,30 @@ def test_module_entry_exits_3_on_a_corrupted_certificate(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_FINDINGS, done.stderr
     assert "blocking_value" in done.stdout
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv", "text"])
+def test_reports_render_integers_past_the_digit_limit(fmt):
+    big = 10**5000
+    record = {"n": 1, "q": 2, "d": big, "lhs": 4.0, "rhs": 5.0, "holds": True}
+    report = {
+        "schema_version": 1,
+        "artifact": {"name": "grimm", "version": "test"},
+        "config": {"subcommand": "cramer-gap", "params": {}, "format": fmt},
+        "status": "ok",
+        "findings": [],
+        "result": {"records": [record], "least_n_holding_onward": 1},
+    }
+    before = sys.get_int_max_str_digits()
+    text = grimm.cli.render_report(report, fmt)
+    assert sys.get_int_max_str_digits() == before
+    if fmt == "json":
+        sys.set_int_max_str_digits(0)
+        try:
+            assert json.loads(text)["result"]["records"][0]["d"] == big
+        finally:
+            sys.set_int_max_str_digits(before)
+    elif fmt == "csv":
+        assert text.splitlines()[-1] == "1,2,1" + "0" * 5000 + ",4.0,5.0,True"
+    else:
+        assert "records: [{\"d\": 1000" in text

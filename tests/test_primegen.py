@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from grimm.arith import is_prime, probable_prime
 from grimm.arith import _mr_random  # noqa: F401  (cross-check helper)
@@ -8,10 +10,14 @@ from grimm.primegen import (
     GenerationResult,
     NoFeasiblePool,
     PrimePool,
+    first_prime,
     generate,
     select_pool,
     sweep,
 )
+from oracles import naive_is_prime, naive_sweep
+
+PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=60)
 
 TOY = (29, 31, 37, 41, 43, 47)
 
@@ -135,3 +141,49 @@ def test_randomized_verdicts_match_deterministic_on_sweep_candidates():
             for x in (k + 2 * step, k - 2 * step):
                 assert _mr_random(x, rounds=24, seed=5) == is_prime(x)
                 checked += 1
+
+
+def test_sieved_sweep_fixtures():
+    assert sweep(3, 3).prime == 5  # 5 is a sieving prime: it must not be struck
+    assert sweep(15, 3).prime == 17
+    res = sweep(119, 3)  # 121 = 11^2 and 117 = 9*13 are both struck
+    assert res.conjecture2_violation and res.prime is None
+    assert sweep(1, 9).prime == 3  # 3 sieves the interval -7..9 and is its first prime
+
+
+def test_generate_512_bit_fixture():
+    pool, res = generate(512, band_start=1009)
+    assert len(pool.primes) == 48
+    assert pool.primes[:3] == (1009, 1013, 1019)
+    assert pool.primes[-3:] == (2003, 2011, 2017)
+    assert res.k % 2**64 == 16177967486473836473
+    assert res.offset == 324 and res.prime == res.k + 324
+    assert res.bit_length == 512 and not res.conjecture2_violation
+
+
+@PROPERTY
+@given(
+    st.one_of(st.integers(1, 5_000), st.integers(1, 2**255)),
+    st.integers(3, 9_000),
+)
+def test_sieved_sweep_matches_naive(half_k, p1):
+    k = 2 * half_k + 1
+    res = sweep(k, p1)
+    ref = naive_sweep(k, p1)
+    assert res.prime == ref
+    assert res.offset == (None if ref is None else ref - k)
+    assert res.conjecture2_violation == (ref is None)
+
+
+@PROPERTY
+@given(st.integers(-60, 3_000), st.integers(0, 200), st.integers(0, 400))
+def test_first_prime_unit_step_matches_naive(start, count, depth):
+    want = next((x for x in range(start, start + count) if naive_is_prime(x)), None)
+    assert first_prime(start, count, 1, range(count), depth) == want
+
+
+def test_first_prime_rejects_unsupported_progressions():
+    with pytest.raises(ValueError):
+        first_prime(9, 5, 3, range(5), 100)
+    with pytest.raises(ValueError):
+        first_prime(8, 5, 2, range(5), 100)
