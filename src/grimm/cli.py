@@ -219,7 +219,7 @@ def _run_subcommand(args) -> tuple[dict, list]:
     if sc == "hn":
         payload = {"n": args.n, "cardinality": hn_cardinality(args.n)}
         if not args.count_only:
-            payload["elements"] = list(enumerate_hn(args.n).elements)
+            payload["elements"] = enumerate_hn(args.n).elements
         return payload, []
 
     if sc == "verify-small":
@@ -316,13 +316,61 @@ def render_report(report: dict, fmt: str) -> str:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            return json.dumps(report, indent=2, sort_keys=True) + "\n"
+            parts: list[str] = []
+            _emit_json(report, 0, parts)
+            parts.append("\n")
+            return "".join(parts)
         if fmt == "csv":
             return _render_csv(report)
         return _render_text(report)
     finally:
         if limited:
             sys.set_int_max_str_digits(saved)
+
+
+# Integer lists are rendered this many items per joined chunk.
+_JSON_BLOCK = 1 << 16
+
+
+def _emit_json(value, level: int, parts: list[str]) -> None:
+    """Append the text of json.dumps(value, indent=2, sort_keys=True), nested
+    `level` deep, to parts.
+
+    json.dumps with an indent encodes in pure Python, one chunk per list
+    item; here a block of plain ints becomes one join over int.__str__.
+    Scalars and keys still go through json.dumps, so the text is the same.
+    """
+    if not isinstance(value, (dict, list, tuple)):
+        parts.append(json.dumps(value))
+        return
+    if not value:
+        parts.append("{}" if isinstance(value, dict) else "[]")
+        return
+    inner = "\n" + "  " * (level + 1)
+    sep = "," + inner
+    close = "\n" + "  " * level
+    if isinstance(value, dict):
+        parts.append("{" + inner)
+        for i, (key, item) in enumerate(sorted(value.items())):
+            if i:
+                parts.append(sep)
+            parts.append(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _emit_json(item, level + 1, parts)
+        parts.append(close + "}")
+        return
+    parts.append("[" + inner)
+    for start in range(0, len(value), _JSON_BLOCK):
+        if start:
+            parts.append(sep)
+        block = value[start : start + _JSON_BLOCK]
+        if set(map(type, block)) == {int}:  # exact ints: bools render as true/false
+            parts.append(sep.join(map(str, block)))
+            continue
+        for i, item in enumerate(block):
+            if i:
+                parts.append(sep)
+            _emit_json(item, level + 1, parts)
+    parts.append(close + "]")
 
 
 def _render_csv(report: dict) -> str:
@@ -349,7 +397,7 @@ def _render_csv(report: dict) -> str:
 def _render_text(report: dict) -> str:
     lines = [f"grimm {report['artifact']['version']} :: {report['config']['subcommand']}"]
     for k, v in sorted(report["result"].items()):
-        text = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list)) else str(v)
+        text = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list, tuple)) else str(v)
         if len(text) > 4000:
             text = text[:4000] + "...(truncated)"
         lines.append(f"  {k}: {text}")

@@ -10,8 +10,9 @@ n = 2*floor(p_1/2) + 1, so it is reported rather than raised.
 from __future__ import annotations
 
 import bisect
+import math
 from dataclasses import dataclass
-from itertools import islice
+from itertools import compress, islice
 
 from .arith import DEFAULT_SIEVE_LIMIT, default_sieve, probable_prime
 
@@ -87,47 +88,54 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
     lo, hi = 1 << (bits - 1), 1 << bits
     desc = cand[::-1]
     total = len(desc)
-    # big_prefix[i]: product of the i largest; small_prefix[i]: of the i smallest
-    big_prefix = [1] * (total + 1)
-    small_prefix = [1] * (total + 1)
-    for i in range(total):
-        big_prefix[i + 1] = big_prefix[i] * desc[i]
-        small_prefix[i + 1] = small_prefix[i] * desc[total - 1 - i]
-    found: list[int] | None = None
+    # small[s]: product of the s smallest, up to the first that reaches hi
+    small = [1]
+    while len(small) <= total and small[-1] < hi:
+        small.append(small[-1] * cand[len(small) - 1])
     nodes = 0
 
-    def choose(i: int, prod: int, slots: int, chosen: list[int]) -> None:
-        nonlocal found, nodes
-        if found is not None:
-            return
-        nodes += 1
-        if nodes > _SELECT_NODE_BUDGET:
-            raise NoFeasiblePool(
-                f"backtracking budget exhausted after {_SELECT_NODE_BUDGET} nodes"
-            )
-        if slots == 0:
-            if lo <= prod < hi:
-                found = sorted(chosen)
-            return
-        if total - i < slots:
-            return
-        # best case: the `slots` largest remaining; worst case: the smallest
-        if prod * (big_prefix[i + slots] // big_prefix[i]) < lo:
-            return
-        if prod * small_prefix[slots] >= hi:
-            return
-        chosen.append(desc[i])
-        choose(i + 1, prod * desc[i], slots - 1, chosen)
-        chosen.pop()
-        if found is None:
-            choose(i + 1, prod, slots, chosen)
+    def choose(size: int, largest: int) -> list[int] | None:
+        # Depth-first, taking desc[i] before skipping it.  A pending node is
+        # (i, prod, slots, depth, window): depth is how many of `chosen` are
+        # its own, window the product of the `slots` largest remaining,
+        # desc[i : i + slots] (0 when fewer remain).  The stack holds at most
+        # one skip per level.
+        nonlocal nodes
+        chosen: list[int] = []
+        stack = [(0, 1, size, 0, largest)]
+        while stack:
+            i, prod, slots, depth, window = stack.pop()
+            del chosen[depth:]
+            nodes += 1
+            if nodes > _SELECT_NODE_BUDGET:
+                raise NoFeasiblePool(
+                    f"backtracking budget exhausted after {_SELECT_NODE_BUDGET} nodes"
+                )
+            if slots == 0:
+                if lo <= prod < hi:
+                    return sorted(chosen)
+                continue
+            if total - i < slots:
+                continue
+            # best case: the `slots` largest remaining; worst case: the smallest
+            if prod * window < lo or prod * small[slots] >= hi:
+                continue
+            rest = window // desc[i]
+            skip = rest * desc[i + slots] if i + slots < total else 0
+            stack.append((i + 1, prod, slots, depth, skip))
+            stack.append((i + 1, prod * desc[i], slots - 1, depth + 1, rest))
+            chosen.append(desc[i])
+        return None
 
+    found = None
+    largest = 1
     for size in range(1, total + 1):
-        if big_prefix[size] < lo:
+        largest *= desc[size - 1]
+        if largest < lo:
             continue  # even the largest primes cannot reach the band yet
-        if small_prefix[size] >= hi:
+        if small[size] >= hi:
             break  # every subset of this size (and beyond) overshoots
-        choose(0, 1, size, [])
+        found = choose(size, largest)
         if found is not None:
             break
     if found is None:
@@ -135,6 +143,31 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
             f"no subset of {len(cand)} candidates reaches {bits} bits"
         )
     return PrimePool(primes=tuple(found))
+
+
+def _strike(start: int, count: int, step: int, primes) -> bytearray:
+    """alive[i] = 0 exactly when start + i*step is a multiple of one of the
+    given primes other than the prime itself (step is 1, or 2 with start
+    odd and the primes odd)."""
+    alive = bytearray(b"\x01") * count
+    neg = -start
+    for p in primes:
+        # start + i*step = 0 (mod p); the inverse of 2 mod odd p is (p+1)/2
+        i = neg % p * ((p + 1) // 2 if step == 2 else 1) % p
+        if i < count:
+            alive[i::p] = bytes(len(range(i, count, p)))
+            if start <= p < start + count * step:
+                alive[(p - start) // step] = 1
+    return alive
+
+
+def band_primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), 2 <= lo: the survivors of a sieve of the band
+    by every prime up to sqrt(hi - 1)."""
+    root = math.isqrt(hi - 1)
+    primes = default_sieve(root).primes
+    alive = _strike(lo, hi - lo, 1, islice(primes, bisect.bisect_right(primes, root)))
+    return list(compress(range(lo, hi), alive))
 
 
 def first_prime(
@@ -158,17 +191,10 @@ def first_prime(
     """
     if step not in (1, 2) or step == 2 and start % 2 == 0:
         raise ValueError("step must be 1, or 2 with an odd start")
-    alive = bytearray(b"\x01") * count
     primes = default_sieve().primes
-    neg = -start
     # primes[0] = 2 sieves only the unit step
-    for p in islice(primes, step - 1, bisect.bisect_left(primes, depth)):
-        # start + i*step = 0 (mod p); the inverse of 2 mod odd p is (p+1)/2
-        i = neg % p * ((p + 1) // 2 if step == 2 else 1) % p
-        if i < count:
-            alive[i::p] = bytes(len(range(i, count, p)))
-            if start <= p < start + count * step:
-                alive[(p - start) // step] = 1
+    sieving = islice(primes, step - 1, bisect.bisect_left(primes, depth))
+    alive = _strike(start, count, step, sieving)
     for i in order:
         x = start + i * step
         if x >= 2 and alive[i] and probable_prime(x, rounds, seed):
@@ -229,11 +255,7 @@ def generate(
     if candidates is None:
         if band_start < 3:
             raise ValueError("band_start must be >= 3 to keep products odd")
-        lo, hi = band_start, 2 * band_start
-        if hi <= default_sieve().limit:
-            candidates = default_sieve().primes_between(lo - 1, hi)
-        else:
-            candidates = [x for x in range(lo, hi) if probable_prime(x)]
+        candidates = band_primes(band_start, 2 * band_start)
     if candidates and candidates[0] == 2:
         raise ValueError("pools containing 2 are rejected; k must be odd")
     pool = select_pool(bits, candidates)

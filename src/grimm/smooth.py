@@ -13,17 +13,13 @@ single-prime vectors.
 
 from __future__ import annotations
 
-import heapq
+import bisect
 from dataclasses import dataclass
 
-import numpy as np
-
-from .arith import default_sieve, factorize, is_prime, representation_threshold
+from .arith import default_sieve, factorize, is_prime
 
 # Enumeration walks every exponent vector; refuse anything bigger.
 ENUMERATION_GUARD = 10**7
-
-_INT64_SAFE = 1 << 63
 
 
 @dataclass(frozen=True)
@@ -40,7 +36,8 @@ class HnSet:
         return iter(self.elements)
 
     def __contains__(self, x) -> bool:
-        return x in self.elements
+        i = bisect.bisect_left(self.elements, x)
+        return i < len(self.elements) and self.elements[i] == x
 
 
 def _max_exponent(p: int, n: int) -> int:
@@ -85,9 +82,7 @@ def enumerate_hn(n: int) -> HnSet:
     """Exact ascending enumeration of H(n) by exponent vectors.
 
     Guarded: raises when the vector count exceeds ENUMERATION_GUARD, which
-    keeps worst-case runtime around a minute.  Products are formed in
-    int64 when the largest possible member fits, and in arbitrary
-    precision otherwise.
+    keeps worst-case runtime around a minute.
     """
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
@@ -98,32 +93,18 @@ def enumerate_hn(n: int) -> HnSet:
             f" (guard {ENUMERATION_GUARD})"
         )
     primes = _primes_upto(n)
-    if representation_threshold(n) < _INT64_SAFE:
-        elements = _enumerate_int64(n, primes)
-    else:
-        elements = _enumerate_bigint(n, primes)
-    return HnSet(n=n, elements=tuple(elements))
-
-
-def _enumerate_int64(n: int, primes: list[int]) -> list[int]:
-    arr = np.ones(1, dtype=np.int64)
-    for p in primes:
-        powers = np.array(
-            [p**e for e in range(_max_exponent(p, n) + 1)], dtype=np.int64
-        )
-        arr = (arr[:, None] * powers[None, :]).ravel()
-    arr = np.sort(arr)
-    drop = np.isin(arr, np.array([1] + primes, dtype=np.int64))
-    return arr[~drop].tolist()
-
-
-def _enumerate_bigint(n: int, primes: list[int]) -> list[int]:
-    # Scaling a sorted list by each power keeps it sorted, so a k-way merge
-    # per prime replaces one huge final sort.
     out = [1]
     for p in primes:
-        powers = [p**e for e in range(_max_exponent(p, n) + 1)]
-        out = list(heapq.merge(*[[x * q for x in out] for q in powers]))
-    skip = set(primes)
-    skip.add(1)
-    return [x for x in out if x not in skip]
+        # Scaling the sorted products by p^e keeps them sorted, so out holds
+        # one sorted run per power; timsort finds the runs and merges them.
+        base = out[:]
+        q = p
+        while q <= n:
+            out += [x * q for x in base]
+            q *= p
+        out.sort()
+    # 1 and the primes are the only non-members, and all of them are <= n.
+    head = bisect.bisect_right(out, n)
+    skip = {1, *primes}
+    out[:head] = [x for x in out[:head] if x not in skip]
+    return HnSet(n=n, elements=tuple(out))

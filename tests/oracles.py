@@ -9,6 +9,7 @@ test, not for the test itself.
 
 from __future__ import annotations
 
+import heapq
 import math
 
 from grimm.arith import probable_prime
@@ -174,3 +175,18 @@ def naive_sweep(k: int, p1: int) -> int | None:
             if x >= 2 and probable_prime(x):
                 return x
     return None
+
+
+def merged_hn(n: int) -> list[int]:
+    """H(n) by exponent vectors, one heapq.merge per prime: the sorted
+    products are scaled by each power p^e (which keeps them sorted) and the
+    scaled copies are merged; 1 and the primes are dropped at the end."""
+    primes = [p for p in range(2, n + 1) if naive_is_prime(p)]
+    out = [1]
+    for p in primes:
+        powers = [1]
+        while powers[-1] * p <= n:
+            powers.append(powers[-1] * p)
+        out = list(heapq.merge(*[[x * q for x in out] for q in powers]))
+    skip = set(primes) | {1}
+    return [x for x in out if x not in skip]

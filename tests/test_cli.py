@@ -6,6 +6,8 @@ import textwrap
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grimm.cli
 from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, run
@@ -291,3 +293,70 @@ def test_reports_render_integers_past_the_digit_limit(fmt):
         assert text.splitlines()[-1] == "1,2,1" + "0" * 5000 + ",4.0,5.0,True"
     else:
         assert "records: [{\"d\": 1000" in text
+
+
+def _dumps(value) -> str:
+    # the reference rendering, with the digit limit lifted as render_report does
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+_SCALARS = st.one_of(
+    st.none(),
+    st.booleans(),
+    st.integers(),
+    st.integers(-2, 2).map(lambda k: k * 10**4400 - 7),  # past the digit limit
+    st.floats(allow_nan=True, allow_infinity=True),
+    st.text(),
+    st.sampled_from(["\u00e9t\u00e9", "\u03c0 \u2264 n", "\U0001f600", '"\\\n']),
+)
+_JSON_VALUES = st.recursive(
+    _SCALARS,
+    lambda inner: st.one_of(
+        st.lists(inner, max_size=6),
+        st.lists(inner, max_size=6).map(tuple),
+        st.lists(st.one_of(st.integers(), st.booleans()), max_size=8),
+        st.dictionaries(st.text(max_size=6), inner, max_size=6),
+    ),
+    max_leaves=24,
+)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=6))
+def test_json_rendering_equals_json_dumps(report):
+    assert grimm.cli.render_report(report, "json") == _dumps(report)
+
+
+def test_json_rendering_across_integer_blocks():
+    block = grimm.cli._JSON_BLOCK
+    ints = list(range(-5, 2 * block + 9))
+    mixed = ints[:]
+    mixed[block + 3] = True
+    mixed[2 * block] = 1.5
+    report = {"a": ints, "b": tuple(ints), "c": [mixed, [], {}], "d": {"e": ints[: block]}}
+    assert grimm.cli.render_report(report, "json") == _dumps(report)
+
+
+@pytest.mark.parametrize("argv", [
+    ("hn", "--n", "48"),
+    ("scan", "--m-max", "300", "--n-max", "12"),
+    ("cramer-gap", "--n-min", "10000", "--n-max", "10000"),
+])
+def test_real_reports_render_as_json_dumps(monkeypatch, tmp_path, argv):
+    reports = []
+
+    def capture(report, fmt):
+        reports.append(report)
+        return render(report, fmt)
+
+    render = grimm.cli.render_report
+    monkeypatch.setattr(grimm.cli, "render_report", capture)
+    out = tmp_path / "report.json"
+    assert run([*argv, "--format", "json", "--output", str(out)]) in (EXIT_OK, EXIT_FINDINGS)
+    (report,) = reports
+    assert out.read_text(encoding="utf-8") == _dumps(report)

@@ -1,4 +1,5 @@
 import random
+import sys
 
 import pytest
 from hypothesis import given, settings
@@ -6,10 +7,12 @@ from hypothesis import strategies as st
 
 from grimm.arith import is_prime, probable_prime
 from grimm.arith import _mr_random  # noqa: F401  (cross-check helper)
+import grimm.primegen
 from grimm.primegen import (
     GenerationResult,
     NoFeasiblePool,
     PrimePool,
+    band_primes,
     first_prime,
     generate,
     select_pool,
@@ -187,3 +190,36 @@ def test_first_prime_rejects_unsupported_progressions():
         first_prime(9, 5, 3, range(5), 100)
     with pytest.raises(ValueError):
         first_prime(8, 5, 2, range(5), 100)
+
+
+def test_band_past_the_shared_sieve_under_default_recursion_limit():
+    # 43,840 candidates in [600001, 1200002): far more than the recursion
+    # limit, so the pool search must not recurse per candidate
+    before = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        pool, res = generate(60, band_start=600_001)
+    finally:
+        sys.setrecursionlimit(before)
+    assert pool.primes == (800623, 1199993, 1199999)
+    assert res.k == 800623 * 1199993 * 1199999
+    assert res.offset == 6 and res.bit_length == 60
+
+
+def test_select_pool_node_count(monkeypatch):
+    # The 2048-bit pool of the 4001 band is found at search node 755:
+    # one fewer exhausts the budget.
+    cand = band_primes(4001, 8002)
+    monkeypatch.setattr(grimm.primegen, "_SELECT_NODE_BUDGET", 754)
+    with pytest.raises(NoFeasiblePool, match="budget"):
+        select_pool(2048, cand)
+    monkeypatch.setattr(grimm.primegen, "_SELECT_NODE_BUDGET", 755)
+    pool = select_pool(2048, cand)
+    assert 2**2047 <= pool.product < 2**2048
+
+
+def test_band_primes_match_naive_walk():
+    for lo in (2, 3, 4, 29, 4001):
+        assert band_primes(lo, 2 * lo) == [x for x in range(lo, 2 * lo) if naive_is_prime(x)]
+    lo = 500_009
+    assert band_primes(lo, 2 * lo) == [x for x in range(lo, 2 * lo) if probable_prime(x)]

@@ -8,7 +8,7 @@ from grimm.smooth import (
     in_hn,
     vector_count,
 )
-from oracles import brute_hn
+from oracles import brute_hn, merged_hn
 
 
 def test_small_set_fixtures():
@@ -88,3 +88,17 @@ def test_bigint_path_examples():
     got = enumerate_hn(43)
     assert len(got) == hn_cardinality(43)
     assert max(got) == representation_threshold(43)
+
+
+def test_enumeration_matches_merged_oracle():
+    for n in range(2, 61):
+        assert enumerate_hn(n).elements == tuple(merged_hn(n)), f"n={n}"
+
+
+def test_membership_by_bisection():
+    hs = enumerate_hn(12)
+    members = set(hs.elements)
+    for x in range(-2, representation_threshold(12) + 3):
+        assert (x in hs) == (x in members), x
+    assert 27720 in hs and 27721 not in hs
+    assert 0 not in enumerate_hn(2)
