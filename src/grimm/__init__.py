@@ -9,7 +9,6 @@ from .arith import (
     default_sieve,
     factorize,
     is_prime,
-    max_vp_in_window,
     prime_count,
     prime_divisors,
     probable_prime,
@@ -51,7 +50,7 @@ from .coprime import (
     representation_from_factors,
     verify_representation,
 )
-from .matching import MatchingInstance, max_matching
+from .matching import max_matching
 from .primegen import GenerationResult, PrimePool, generate, select_pool, sweep
 from .smooth import HnSet, enumerate_hn, hn_cardinality, in_hn
 

@@ -359,24 +359,6 @@ def _vp_binomial(p: int, m: int, n: int) -> int:
     return total
 
 
-def max_vp_in_window(p: int, w: Window) -> tuple[int, int]:
-    """Maximum of v_p(m+i) over i = 1..n, with the smallest attaining index.
-
-    Returns (t, i*).  When no window element is divisible by p, t = 0 and
-    the index reported is 1.
-    """
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    m, n = w.m, w.n
-    best_t, best_i = 0, 1
-    first = m + 1 + (-(m + 1)) % p
-    for x in range(first, m + n + 1, p):
-        t = _vp(p, x)
-        if t > best_t:
-            best_t, best_i = t, x - m
-    return best_t, best_i
-
-
 def representation_threshold(n: int) -> int:
     """Product over primes p <= n of the largest power of p not exceeding n.
 

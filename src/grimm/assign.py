@@ -22,15 +22,14 @@ import multiprocessing
 import operator
 from dataclasses import dataclass
 
-from .arith import Window, _vp, all_prime, default_sieve, factorize, prime_divisors
+from .arith import Window, all_prime, default_sieve, prime_divisors
 from .coprime import (
     CanonicalRow,
     CoprimeRepresentation,
     InternalContradiction,
     verify_representation,
-    window_prime_exponents,
 )
-from .matching import MatchingInstance, augment, max_matching
+from .matching import augment, max_matching
 
 
 @dataclass(frozen=True)
@@ -100,80 +99,45 @@ def grimm_assignment(w: Window) -> GrimmAssignment | None:
     return None if isinstance(settled, int) else settled
 
 
-def representation_instance(
-    w: Window,
-) -> tuple[MatchingInstance, dict[int, int]]:
-    """The admissibility graph behind the exact-representation test.
+def _blocked_evidence(row: CanonicalRow, exps: dict[int, int], index: int) -> BlockedIndex:
+    reasons = tuple((p, exps.get(p, 0), v) for p, v in row.factors[index - 1].items())
+    return BlockedIndex(index=index, value=row.m + index, reasons=reasons)
+
+
+def _decide(row: CanonicalRow) -> RepresentationDecision:
+    """The exact-representation decision for the row's current window.
 
     Edge (i, p) iff the element m+i can absorb the full power p^(e_p) of
-    the coefficient, i.e. v_p(m+i) >= e_p.  Only primes with e_p > 0
-    participate; every such prime has at least one admissible index.
+    the coefficient, i.e. v_p(m+i) >= e_p; indices are taken in order and
+    primes ascending, so the matching is deterministic.
     """
-    exps = window_prime_exponents(w)
-    m = w.m
-    adj: dict[int, list[int]] = {i: [] for i in range(1, w.n + 1)}
-    for p, e in exps.items():
-        hit = False
-        first = m + 1 + (-(m + 1)) % p
-        for x in range(first, m + w.n + 1, p):
-            if _vp(p, x) >= e:
-                adj[x - m].append(p)
-                hit = True
-        if not hit:
-            raise InternalContradiction(
-                f"prime {p} has no admissible index in {w}"
-            )
-    inst = MatchingInstance(
-        left=tuple(range(1, w.n + 1)),
-        right=tuple(sorted(exps)),
-        edges={i: tuple(sorted(ps)) for i, ps in adj.items()},
-    )
-    return inst, exps
-
-
-def _blocked_evidence(w: Window, exps: dict[int, int], index: int) -> BlockedIndex:
-    value = w.m + index
-    reasons = []
-    for p, v in sorted(factorize(value).items()):
-        reasons.append((p, exps.get(p, 0), v))
-    return BlockedIndex(index=index, value=value, reasons=tuple(reasons))
-
-
-def exact_representation_exists(w: Window) -> RepresentationDecision:
-    """Decide whether C(m+n, n) splits into coprime parts a_i | (m+i), all > 1.
-
-    Feasible iff the admissibility matching saturates every index: each
-    index takes its matched prime's full power, remaining primes fall to
-    their smallest admissible index, which yields a verified certificate.
-    Infeasible outcomes report the smallest unsaturated index (preferring
-    one with no admissible prime at all, where the obstruction is local).
-    """
-    if w.m < 1:
-        raise ValueError("window base must be >= 1")
-    inst, exps = representation_instance(w)
-    matching = max_matching(inst)
+    w = Window(row.m, row.n)
+    exps = row.exponents()
+    adj = {
+        i: [p for p, v in element.items() if 0 < exps.get(p, 0) <= v]
+        for i, element in enumerate(row.factors, 1)
+    }
+    first = {p: i for i in reversed(adj) for p in adj[i]}  # smallest admissible index
+    for p in exps:
+        if p not in first:
+            raise InternalContradiction(f"prime {p} has no admissible index in {w}")
+    matching = max_matching(adj)
     if len(matching) < w.n:
         matched = {i for i, _ in matching}
-        empty = [i for i in inst.left if not inst.edges[i]]
-        index = empty[0] if empty else min(set(inst.left) - matched)
+        empty = [i for i, ps in adj.items() if not ps]
+        index = empty[0] if empty else min(set(adj) - matched)
         return RepresentationDecision(
             window=w,
             feasible=False,
             certificate=None,
-            blocking=_blocked_evidence(w, exps, index),
+            blocking=_blocked_evidence(row, exps, index),
         )
     factors = [1] * w.n
     taken = {p: i for i, p in matching}
-    # Unmatched primes drop to their smallest admissible index.
-    admissible_of: dict[int, list[int]] = {p: [] for p in exps}
-    for i in inst.left:
-        for p in inst.edges[i]:
-            admissible_of[p].append(i)
     assignment = []
     for p, e in exps.items():
-        i = taken.get(p)
-        if i is None:
-            i = admissible_of[p][0]
+        # Unmatched primes drop to their smallest admissible index.
+        i = taken.get(p, first[p])
         factors[i - 1] *= p**e
         assignment.append((p, e, i))
     cert = CoprimeRepresentation(
@@ -184,6 +148,25 @@ def exact_representation_exists(w: Window) -> RepresentationDecision:
     return RepresentationDecision(
         window=w, feasible=True, certificate=cert, blocking=None
     )
+
+
+def exact_representation_exists(w: Window) -> RepresentationDecision:
+    """Decide whether C(m+n, n) splits into coprime parts a_i | (m+i), all > 1.
+
+    Feasible iff the admissibility matching saturates every index: each
+    index takes its matched prime's full power, remaining primes fall to
+    their smallest admissible index, which yields a verified certificate.
+    Infeasible outcomes report the smallest unsaturated index (preferring
+    one with no admissible prime at all, where the obstruction is local).
+    The exponents and element factorizations come from one CanonicalRow
+    walk over the window.
+    """
+    if w.m < 1:
+        raise ValueError("window base must be >= 1")
+    row = CanonicalRow(w.m)
+    for _ in range(w.n):
+        row.extend()
+    return _decide(row)
 
 
 @dataclass(frozen=True)
@@ -227,8 +210,8 @@ def _decide_row(m: int, n_lo: int, n_hi: int):
 
     The row's canonical representations are grown one element at a time.
     A window whose canonical parts are all > 1 is feasible, once its
-    certificate passes verify_representation; the rest go to
-    exact_representation_exists, which supplies the blocking evidence.
+    certificate passes verify_representation; the rest go to the matching
+    on the same row, which supplies the blocking evidence.
     """
     row = CanonicalRow(m)
     for n in range(1, n_hi + 1):
@@ -241,7 +224,7 @@ def _decide_row(m: int, n_lo: int, n_hi: int):
                 raise InternalContradiction(f"canonical certificate fails at {rep.window}")
             yield n, None
         else:
-            yield n, exact_representation_exists(Window(m, n)).blocking
+            yield n, _decide(row).blocking
 
 
 W_CAP_GUARD = 10_000

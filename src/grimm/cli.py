@@ -294,16 +294,23 @@ def _run_subcommand(args) -> tuple[dict, list]:
     raise ValueError(f"unknown subcommand {sc}")
 
 
-# Fixed CSV table layout per subcommand: (columns, row extractor over payload).
+def _rows(key: str, cols: tuple[str, ...]):
+    """A CSV table of the dict rows under payload[key]: (columns, body)."""
+    return cols, lambda p: [",".join(str(row[c]) for c in cols) for row in p[key]]
+
+
+# Fixed CSV table layout per subcommand: (columns, body lines over payload).
 _CSV_TABLES = {
-    "verify": (("m", "n", "reason"), lambda p: p["failures"]),
-    "runs": (("start", "length", "end"), lambda p: p["runs"]),
-    "scan": (("m", "n", "blocking_value"), lambda p: p["counterexamples"]),
+    "verify": _rows("failures", ("m", "n", "reason")),
+    "runs": _rows("runs", ("start", "length", "end")),
+    "scan": _rows("counterexamples", ("m", "n", "blocking_value")),
     "w": (("n", "feasible"), lambda p: [
-        {"n": i + 1, "feasible": ok} for i, ok in enumerate(p["bitmap"])]),
-    "hn": (("element",), lambda p: [{"element": x} for x in p.get("elements", [])]),
-    "cramer-gap": (("n", "q", "d", "lhs", "rhs", "holds"), lambda p: p["records"]),
-    "verify-small": (("m", "n"), lambda p: p["failures"]),
+        f"{n},{ok}" for n, ok in enumerate(p["bitmap"], 1)]),
+    "hn": (("element",), lambda p: [  # one joined block per _JSON_BLOCK members
+        "\n".join(map(str, p["elements"][i : i + _JSON_BLOCK]))
+        for i in range(0, len(p.get("elements", ())), _JSON_BLOCK)]),
+    "cramer-gap": _rows("records", ("n", "q", "d", "lhs", "rhs", "holds")),
+    "verify-small": _rows("failures", ("m", "n")),
 }
 
 
@@ -328,7 +335,7 @@ def render_report(report: dict, fmt: str) -> str:
             sys.set_int_max_str_digits(saved)
 
 
-# Integer lists are rendered this many items per joined chunk.
+# Integer lists are rendered this many items per joined chunk, in JSON and CSV.
 _JSON_BLOCK = 1 << 16
 
 
@@ -383,10 +390,9 @@ def _render_csv(report: dict) -> str:
     ]
     payload = report["result"]
     if sc in _CSV_TABLES:
-        cols, extract = _CSV_TABLES[sc]
+        cols, body = _CSV_TABLES[sc]
         lines.append(",".join(cols))
-        for row in extract(payload):
-            lines.append(",".join(str(row[c]) for c in cols))
+        lines.extend(body(payload))
     else:
         lines.append("key,value")
         for k in sorted(payload):
@@ -397,6 +403,10 @@ def _render_csv(report: dict) -> str:
 def _render_text(report: dict) -> str:
     lines = [f"grimm {report['artifact']['version']} :: {report['config']['subcommand']}"]
     for k, v in sorted(report["result"].items()):
+        if isinstance(v, (list, tuple)):
+            # An item with its ", " takes at least 3 characters, so this
+            # prefix already runs past the cut below.
+            v = v[: 4000 // 3 + 1]
         text = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list, tuple)) else str(v)
         if len(text) > 4000:
             text = text[:4000] + "...(truncated)"

@@ -46,25 +46,6 @@ class CoprimeRepresentation:
         return min(self.factors, default=2) > 1
 
 
-def window_prime_exponents(w: Window) -> dict[int, int]:
-    """{p: v_p(C(m+n, n))} over every prime dividing the coefficient.
-
-    Any prime factor of C(m+n, n) divides the window product, so the
-    candidates come from factoring the n window elements.
-    """
-    m, n = w.m, w.n
-    primes: set[int] = set()
-    for x in w.values():
-        if x > 1:
-            primes.update(factorize(x))
-    out: dict[int, int] = {}
-    for p in sorted(primes):
-        e = _vp_binomial(p, m, n)
-        if e > 0:
-            out[p] = e
-    return out
-
-
 class CanonicalRow:
     """The canonical representations of C(m+n, n) for n = 1, 2, ..., one
     window element at a time.
@@ -74,6 +55,8 @@ class CanonicalRow:
     e_p(m, n) = e_p(m, n-1) + v_p(m+n) - v_p(n).  Per prime it keeps the
     largest valuation in the window and the smallest index attaining it,
     which is where the canonical rule puts the prime's power.
+
+    factors[i-1] is the ascending factorization of the element m+i.
     """
 
     def __init__(self, m: int):
@@ -84,12 +67,15 @@ class CanonicalRow:
         self._exps: dict[int, int] = {}
         self._top: dict[int, int] = {}
         self._at: dict[int, int] = {}
+        self.factors: list[dict[int, int]] = []
 
     def extend(self) -> None:
         """Grow the window by its next element m+n+1."""
         n = self.n + 1
         exps, top = self._exps, self._top
-        for p, v in factorize(self.m + n).items():
+        element = factorize(self.m + n)
+        self.factors.append(element)
+        for p, v in element.items():
             exps[p] = exps.get(p, 0) + v
             if v > top.get(p, 0):
                 top[p] = v
@@ -99,6 +85,11 @@ class CanonicalRow:
         for p, v in factorize(n).items():
             exps[p] -= v
         self.n = n
+
+    def exponents(self) -> dict[int, int]:
+        """{p: v_p(C(m+n, n))} for every prime dividing the coefficient,
+        ascending in p."""
+        return {p: e for p, e in sorted(self._exps.items()) if e}
 
     def representation(self) -> CoprimeRepresentation:
         """The canonical representation of the current window m+1 .. m+n."""

@@ -8,33 +8,17 @@ produce identical matchings, which the byte-stable reports rely on.
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass, field
 
 _INF = -1
 
 
-@dataclass
-class MatchingInstance:
-    """Bipartite graph: edges[l] lists the right vertices adjacent to l."""
+def max_matching(adj: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """A maximum-cardinality matching as (left, right) pairs in left order.
 
-    left: tuple[int, ...]
-    right: tuple[int, ...]
-    edges: dict[int, tuple[int, ...]] = field(default_factory=dict)
-
-    def __post_init__(self):
-        lset, rset = set(self.left), set(self.right)
-        for l, adj in self.edges.items():
-            if l not in lset:
-                raise ValueError(f"edge from unknown left vertex {l}")
-            for r in adj:
-                if r not in rset:
-                    raise ValueError(f"edge to unknown right vertex {r}")
-
-
-def max_matching(inst: MatchingInstance) -> list[tuple[int, int]]:
-    """A maximum-cardinality matching as (left, right) pairs in left order."""
-    left = list(inst.left)
-    adj = {l: list(inst.edges.get(l, ())) for l in left}
+    adj maps each left vertex to its right neighbours; the left order is
+    the dict order, and neighbours are tried in list order.
+    """
+    left = list(adj)
     pair_l: dict[int, int] = {}
     pair_r: dict[int, int] = {}
     dist: dict[int, int] = {}

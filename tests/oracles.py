@@ -2,9 +2,11 @@
 
 Everything here deliberately avoids the package's own algorithms: primality
 is plain trial division, binomial valuations come from dividing math.comb
-directly, feasibility decisions are exhaustive assignment searches.  The one
-exception is naive_sweep, a reference for the sieve in front of the primality
-test, not for the test itself.
+directly, feasibility decisions are exhaustive assignment searches.  Two
+exceptions: naive_sweep, a reference for the sieve in front of the primality
+test, not for the test itself; and floor_sum_exponents, which takes the
+coefficient's exponents from the package's Legendre floor sums (vp_binomial)
+to check the incremental exponent walk against.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from __future__ import annotations
 import heapq
 import math
 
-from grimm.arith import probable_prime
+from grimm.arith import Window, probable_prime, vp_binomial
 
 
 def naive_is_prime(x: int) -> bool:
@@ -65,6 +67,15 @@ def binomial_prime_exponents(m: int, n: int) -> dict[int, int]:
                 if e:
                     out[p] = e
     return out
+
+
+def floor_sum_exponents(m: int, n: int) -> dict[int, int]:
+    """{p: v_p(C(m+n, n))} by Legendre floor sums, ascending in p, over the
+    primes of the window elements (every prime of the coefficient is one)."""
+    w = Window(m, n)
+    primes = sorted({p for x in w.values() for p in naive_factorize(x)})
+    exps = {p: vp_binomial(p, w) for p in primes}
+    return {p: e for p, e in exps.items() if e}
 
 
 def canonical_factors(m: int, n: int) -> tuple[int, ...]:

@@ -12,7 +12,6 @@ from grimm.arith import (
     default_sieve,
     factorize,
     is_prime,
-    max_vp_in_window,
     prime_count,
     prime_divisors,
     probable_prime,
@@ -166,17 +165,6 @@ def test_vp_binomial_vs_direct_division():
             assert vp_binomial(p, Window(m, n)) == naive_vp(p, coeff)
 
 
-def test_max_vp_fixtures():
-    assert max_vp_in_window(2, Window(116, 8)) == (3, 4)    # 120 = 2^3 * 15
-    assert max_vp_in_window(11, Window(116, 10)) == (2, 5)  # 121 = 11^2
-    assert max_vp_in_window(13, Window(118, 8)) == (0, 1)
-
-
-def test_max_vp_smallest_index_tiebreak():
-    # v_5 = 1 at both 10 and 15; the first wins
-    assert max_vp_in_window(5, Window(9, 10)) == (1, 1)
-
-
 def test_binomial_valuation_bounded_by_window_max():
     rng = random.Random(20260810)
     sieve = default_sieve(10**6 + 40)
@@ -186,8 +174,7 @@ def test_binomial_valuation_bounded_by_window_max():
         n = rng.randrange(1, 31)
         p = primes[rng.randrange(0, sieve.prime_count(m + n))]
         w = Window(m, n)
-        t, _ = max_vp_in_window(p, w)
-        assert vp_binomial(p, w) <= t
+        assert vp_binomial(p, w) <= max(naive_vp(p, x) for x in w.values())
 
 
 def test_representation_threshold_fixtures():

@@ -240,3 +240,18 @@ def test_w_matches_per_window_decisions():
             exact_representation_exists(Window(m, n)).feasible for n in range(1, cap + 1)
         )
         assert w_of_m(m, cap).feasible == expected, m
+
+
+def test_decision_checks_row_exponents(monkeypatch):
+    # v_p(C(m+n, n)) never exceeds the window's largest v_p, so an exponent
+    # that does leaves its prime with no admissible index: a defect.
+    exponents = CanonicalRow.exponents
+    monkeypatch.setattr(CanonicalRow, "exponents", lambda row: {**exponents(row), 2: 99})
+    with pytest.raises(InternalContradiction, match="prime 2 has no admissible index"):
+        exact_representation_exists(Window(203, 7))
+
+
+def test_decision_checks_matched_certificates(monkeypatch):
+    monkeypatch.setattr(grimm.assign, "verify_representation", lambda rep: False)
+    with pytest.raises(InternalContradiction, match="bad certificate"):
+        exact_representation_exists(Window(203, 7))

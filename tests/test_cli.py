@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -360,3 +361,68 @@ def test_real_reports_render_as_json_dumps(monkeypatch, tmp_path, argv):
     assert run([*argv, "--format", "json", "--output", str(out)]) in (EXIT_OK, EXIT_FINDINGS)
     (report,) = reports
     assert out.read_text(encoding="utf-8") == _dumps(report)
+
+
+# sha256 of `grimm hn --n 30` in CSV and text, recorded from the renderer
+# that built one row dict per member and dumped whole lists before cutting.
+HN30_SHA = {
+    "csv": "eb29576b3a57de6c400d982f877dfa0dcea7357cd5ff3f93dfd71fa2c6ce9a30",
+    "text": "8fff331ec712fe1daefd57fbe424a01b4fd8335eacb4fbfdc974a7e58ccf838b",
+}
+
+
+@pytest.mark.parametrize("block", [None, 1000, 1])
+@pytest.mark.parametrize("fmt", sorted(HN30_SHA))
+def test_hn_report_bytes(monkeypatch, capsys, fmt, block):
+    if block is not None:
+        monkeypatch.setattr(grimm.cli, "_JSON_BLOCK", block)
+    code, out = run_capture(capsys, "hn", "--n", "30", "--format", fmt)
+    assert code == EXIT_OK
+    assert hashlib.sha256(out.encode()).hexdigest() == HN30_SHA[fmt]
+
+
+def _full_dump_text(report) -> str:
+    # the reference: dump every value whole, then cut it
+    before = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
+    try:
+        lines = [f"grimm {report['artifact']['version']} :: {report['config']['subcommand']}"]
+        for k, v in sorted(report["result"].items()):
+            text = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list, tuple)) else str(v)
+            if len(text) > 4000:
+                text = text[:4000] + "...(truncated)"
+            lines.append(f"  {k}: {text}")
+        lines.append("no findings")
+        return "\n".join(lines) + "\n"
+    finally:
+        sys.set_int_max_str_digits(before)
+
+
+def _text_report(result) -> dict:
+    return {"artifact": {"version": "0"}, "config": {"subcommand": "t"},
+            "result": result, "findings": []}
+
+
+def test_text_rendering_cuts_like_the_full_dump():
+    # 1,334 one-digit items dump to 4,002 characters, 1,333 to 3,999
+    result = {
+        "short": [1, 2, 3],
+        "empty": [],
+        "at_cut": [7] * 1333,
+        "just_over": [7] * 1334,
+        "over": tuple(range(5000)),
+        "long_item": ["x" * 5000, 1],
+        "nested": [[1, [2, 3]], {"b": 1, "a": (4,)}, None, True, 1.5, "é"] * 400,
+        "empties": [[], {}] * 3000,
+        "dict": {str(i): i for i in range(2000)},
+        "scalar": 10**5000,
+    }
+    report = _text_report(result)
+    assert grimm.cli.render_report(report, "text") == _full_dump_text(report)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=100)
+@given(st.dictionaries(st.text(max_size=6), _JSON_VALUES, max_size=6))
+def test_text_rendering_equals_full_dump(result):
+    report = _text_report(result)
+    assert grimm.cli.render_report(report, "text") == _full_dump_text(report)

@@ -13,9 +13,15 @@ from grimm.coprime import (
     full_representation,
     representation_from_factors,
     verify_representation,
-    window_prime_exponents,
 )
-from oracles import binomial_prime_exponents, canonical_factors, naive_is_prime, naive_vp
+from oracles import (
+    binomial_prime_exponents,
+    canonical_factors,
+    floor_sum_exponents,
+    naive_factorize,
+    naive_is_prime,
+    naive_vp,
+)
 
 
 def test_construct_203_7():
@@ -85,7 +91,13 @@ def test_window_exponents_match_direct_division():
     for _ in range(150):
         m = rng.randrange(1, 2000)
         n = rng.randrange(1, 11)
-        assert window_prime_exponents(Window(m, n)) == binomial_prime_exponents(m, n)
+        row = CanonicalRow(m)
+        for _ in range(n):
+            row.extend()
+        want = binomial_prime_exponents(m, n)
+        assert row.exponents() == floor_sum_exponents(m, n) == want
+        assert list(row.exponents()) == sorted(want)
+        assert row.factors == [naive_factorize(m + i) for i in range(1, n + 1)]
 
 
 def test_construct_passes_verify_on_grid():
@@ -112,7 +124,7 @@ def test_exponent_conservation():
         merged: dict[int, int] = {}
         for p, e, _ in rep.assignment:
             merged[p] = merged.get(p, 0) + e
-        assert merged == window_prime_exponents(w)
+        assert merged == floor_sum_exponents(w.m, w.n)
 
 
 def test_full_representation_fixtures():
@@ -166,7 +178,7 @@ def test_row_exponents_match_floor_sums():
         for n in range(1, 40):
             row.extend()
             got = {p: e for p, e, _ in row.representation().assignment}
-            assert got == window_prime_exponents(Window(m, n)), (m, n)
+            assert got == row.exponents() == floor_sum_exponents(m, n), (m, n)
 
 
 def test_row_representation_is_canonical():
