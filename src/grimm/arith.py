@@ -2,8 +2,9 @@
 
 Everything here is exact.  Python integers never wrap, so the usual
 fixed-width overflow hazards do not exist; the explicit guards below
-(sieve limit, factorization width, deterministic primality width) are the
-places where a result would otherwise silently degrade.
+(sieve limit SIEVE_GUARD, factorization width, deterministic primality
+width) are the places where a run would otherwise exhaust memory or a
+result silently degrade.
 """
 
 from __future__ import annotations
@@ -11,9 +12,9 @@ from __future__ import annotations
 import bisect
 import math
 import random
+from array import array
 from dataclasses import dataclass
-
-import numpy as np
+from itertools import compress
 
 # The 7-base strong-probable-prime test is deterministic below this bound
 # (well above 2^64).
@@ -25,6 +26,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 FACTORIZATION_BOUND = 1 << 64
 
 DEFAULT_SIEVE_LIMIT = 10**6
+
+# A sieve holds one Python int reference per integer up to its limit; refuse
+# anything bigger before allocating (10^8 already peaks near 1.6 GB).
+SIEVE_GUARD = 10**8
 
 # Trial division hands off to rho once the trial prime exceeds this, so
 # inputs up to _TRIAL_CAP^2 are fully factored by trial division alone.
@@ -54,34 +59,43 @@ class Window:
 
 
 class PrimeSieve:
-    """Smallest-prime-factor sieve with a cumulative prime-count table.
+    """Smallest-prime-factor table with the ascending list of primes.
 
+    _spf[x] is the smallest prime factor of composite x <= limit, and 0 for
+    0, 1 and the primes; pi and prime ranges are bisections of `primes`.
     Immutable once built; all queries are read-only, so a single instance
     may be shared freely across threads (and across forked workers).
     """
 
     def __init__(self, limit: int):
-        if limit < 3:
-            limit = 3
+        if limit > SIEVE_GUARD:
+            raise ValueError(f"sieve limit {limit} exceeds SIEVE_GUARD = {SIEVE_GUARD}")
+        limit = max(limit, 3)
         self.limit = limit
-        spf = np.zeros(limit + 1, dtype=np.int32)
-        for i in range(2, math.isqrt(limit) + 1):
-            if spf[i] == 0:
-                block = spf[i * i :: i]
-                block[block == 0] = i
-        membership = spf == 0
-        membership[:2] = False
-        self._membership = membership
-        self._pi = np.cumsum(membership, dtype=np.int64)
-        # Plain lists index ~5x faster than numpy scalars in the per-element
-        # hot loops (bulk factorization of range scans).
-        self._spf = spf.tolist()
-        self.primes: list[int] = np.flatnonzero(membership).tolist()
+        root = math.isqrt(limit)
+        alive = bytearray(b"\x01") * (limit + 1)
+        alive[:2] = b"\x00\x00"
+        for p in range(2, root + 1):
+            if alive[p]:
+                alive[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
+        self.primes: list[int] = list(compress(range(limit + 1), alive))
+        del alive
+        # Striking the larger primes first leaves each entry at its smallest
+        # prime factor.
+        spf = array("I", bytes(4 * (limit + 1)))
+        for p in reversed(self.primes[: bisect.bisect_right(self.primes, root)]):
+            spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
+        # Plain lists index faster than arrays in the per-element hot loops
+        # (bulk factorization of range scans).
+        self._spf: list[int] = spf.tolist()
 
-    def is_prime(self, x: int) -> bool:
+    def _check(self, x: int) -> None:
         if x < 0 or x > self.limit:
             raise ValueError(f"{x} outside sieve range [0, {self.limit}]")
-        return bool(self._membership[x])
+
+    def is_prime(self, x: int) -> bool:
+        self._check(x)
+        return x >= 2 and not self._spf[x]
 
     def composite_run(self, m: int, cap: int) -> int:
         """How many of m+1, m+2, ... are non-prime in a row, at most cap."""
@@ -93,13 +107,19 @@ class PrimeSieve:
 
     def prime_count(self, x: int) -> int:
         """pi(x), the number of primes <= x."""
-        if x < 0 or x > self.limit:
-            raise ValueError(f"{x} outside sieve range [0, {self.limit}]")
-        return int(self._pi[x])
+        self._check(x)
+        return bisect.bisect_right(self.primes, x)
 
-    def prime_counts(self, xs) -> np.ndarray:
-        """Vectorized pi over an array of arguments within the sieve range."""
-        return self._pi[np.asarray(xs)]
+    def prime_counts(self, xs):
+        """pi over an array of arguments within the sieve range, as a numpy
+        array; numpy is imported here only."""
+        import numpy as np
+
+        xs = np.asarray(xs)
+        if xs.size:
+            self._check(int(xs.min()))
+            self._check(int(xs.max()))
+        return np.searchsorted(np.asarray(self.primes), xs, side="right")
 
     def factorize(self, x: int) -> dict[int, int]:
         """Exact factorization of 1 <= x <= limit via repeated spf lookup."""
@@ -123,8 +143,8 @@ class PrimeSieve:
         """Primes p with lo < p < hi (both ends exclusive)."""
         if hi - 1 > self.limit:
             raise ValueError(f"{hi} outside sieve range")
-        lo = max(lo, 1)
-        return (np.flatnonzero(self._membership[lo + 1 : hi]) + lo + 1).tolist()
+        primes = self.primes
+        return primes[bisect.bisect_right(primes, lo) : bisect.bisect_left(primes, hi)]
 
 
 _sieve: PrimeSieve | None = None

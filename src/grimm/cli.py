@@ -471,8 +471,12 @@ def _report(args) -> int:
         report["elapsed_seconds"] = round(time.monotonic() - t0, 3)
     text = render_report(report, args.format)
     if args.output:
-        with open(args.output, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        try:
+            with open(args.output, "w", encoding="utf-8") as fh:
+                fh.write(text)
+        except OSError as exc:  # an unwritable path is the caller's, not a defect
+            print(f"error: cannot write the report: {exc}", file=sys.stderr)
+            return EXIT_ERROR
     else:
         sys.stdout.write(text)
     return EXIT_FINDINGS if findings else EXIT_OK

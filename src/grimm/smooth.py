@@ -51,7 +51,7 @@ def _max_exponent(p: int, n: int) -> int:
 
 def _primes_upto(n: int) -> list[int]:
     sieve = default_sieve(n)
-    return [p for p in sieve.primes if p <= n]
+    return sieve.primes[: sieve.prime_count(n)]
 
 
 def in_hn(x: int, n: int) -> bool:

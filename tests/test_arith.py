@@ -231,8 +231,37 @@ def test_sieve_basics():
     assert s.factorize(48) == {2: 4, 3: 1}
     assert s.primes_between(10, 20) == [11, 13, 17, 19]
     assert s.primes_between(2, 4) == [3]
+    assert s.primes_between(0, -1) == []
+    assert s.primes_between(5, 3) == []
     with pytest.raises(ValueError):
         s.is_prime(51)
+    # every small limit against trial division; limits below 3 are raised to 3
+    for limit in range(0, 301):
+        s = PrimeSieve(limit)
+        top = max(limit, 3)
+        assert s.limit == top
+        naive = [naive_is_prime(x) for x in range(top + 1)]
+        primes = [x for x in range(top + 1) if naive[x]]
+        assert s.primes == primes
+        assert [s.is_prime(x) for x in range(top + 1)] == naive
+        assert [s.prime_count(x) for x in range(top + 1)] == [
+            sum(naive[: x + 1]) for x in range(top + 1)
+        ]
+        for x in range(1, top + 1):  # ascending primes, as factorize promises
+            assert list(s.factorize(x).items()) == list(naive_factorize(x).items()), (limit, x)
+        for lo in range(-2, top + 2):
+            for hi in {lo - 1, lo, lo + 1, lo + 2, lo + 9, top + 1}:
+                if hi <= top + 1:
+                    assert s.primes_between(lo, hi) == [
+                        p for p in primes if lo < p < hi
+                    ], (limit, lo, hi)
+        for bad in (-1, top + 1):
+            with pytest.raises(ValueError):
+                s.is_prime(bad)
+            with pytest.raises(ValueError):
+                s.prime_count(bad)
+        with pytest.raises(ValueError):
+            s.primes_between(0, top + 2)
 
 
 def test_sieve_factorize_matches_naive():
@@ -267,6 +296,20 @@ def test_composite_run_matches_naive_walk():
     assert s.composite_run(199, 1) == 1    # no prime left in the table: 200
     with pytest.raises(ValueError):
         s.composite_run(190, 11)
+    naive = [naive_is_prime(x) for x in range(302)]
+    for limit in range(0, 301):
+        s = PrimeSieve(limit)
+        top = max(limit, 3)
+        for m in range(0, top + 1):
+            for cap in {0, 1, 7, 20, top - m}:
+                if m + cap > top:
+                    with pytest.raises(ValueError):
+                        s.composite_run(m, cap)
+                    continue
+                run = 0
+                while run < cap and not naive[m + run + 1]:
+                    run += 1
+                assert s.composite_run(m, cap) == run, (limit, m, cap)
 
 
 def test_all_prime_table_and_beyond():

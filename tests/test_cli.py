@@ -214,6 +214,50 @@ def test_worker_default_from_environment(monkeypatch, capsys):
     assert json.loads(out)["config"]["params"]["workers"] == 1
 
 
+def test_sieve_guard_is_usage_error(capsys):
+    # refused before the table is allocated: a 10^10 sieve would take over 100 GB
+    code = run(["scan", "--m-max", "10000000000", "--n-max", "2"])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert "SIEVE_GUARD" in captured.err
+
+
+def test_unwritable_output_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "missing" / "r.json"
+    code = run(["factorize", "--m", "113", "--n", "12", "--output", str(path)])
+    captured = capsys.readouterr()
+    assert code == EXIT_ERROR
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+    assert str(path) in captured.err
+    assert not path.exists()
+
+
+NUMPY_PROBE = """
+import sys
+import grimm
+seen = ["numpy" in sys.modules]
+grimm.default_sieve()
+seen.append("numpy" in sys.modules)
+import grimm.cli
+code = grimm.cli.run(["factorize", "--m", "113", "--n", "12"])
+seen.append("numpy" in sys.modules)
+print(code, seen, file=sys.stderr)
+"""
+
+
+def test_numpy_stays_off_the_import_path():
+    env = dict(os.environ, PYTHONPATH=str(SRC))
+    done = subprocess.run(
+        [sys.executable, "-c", NUMPY_PROBE], env=env, capture_output=True, text=True,
+        timeout=120,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stderr.strip() == "0 [False, False, False]"
+
+
 @pytest.mark.parametrize(
     "exc", [InternalContradiction("bad certificate"), MemoryError(), RecursionError("deep")]
 )
