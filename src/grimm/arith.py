@@ -36,6 +36,10 @@ SIEVE_GUARD = 10**8
 _TRIAL_CAP = 4096
 
 
+class InternalContradiction(ArithmeticError):
+    """A guaranteed arithmetic fact failed to hold: defect, not bad input."""
+
+
 @dataclass(frozen=True)
 class Window:
     """The interval of n consecutive integers m+1 .. m+n."""
@@ -78,7 +82,7 @@ class PrimeSieve:
         for p in range(2, root + 1):
             if alive[p]:
                 alive[p * p :: p] = bytes(len(range(p * p, limit + 1, p)))
-        self.primes: list[int] = list(compress(range(limit + 1), alive))
+        self.primes: list[int] = [2, *compress(range(3, limit + 1, 2), memoryview(alive)[3::2])]
         del alive
         # Striking the larger primes first leaves each entry at its smallest
         # prime factor.
@@ -331,6 +335,75 @@ def prime_divisors(x: int) -> list[int]:
     if x > 1:
         out.append(x)
     return out
+
+
+def largest_prime_powers(lo: int, hi: int) -> list[int]:
+    """L(x), the largest prime power dividing x, for x = lo .. hi (L(1) = 1).
+
+    A largest prime power p^v dividing x divides it exactly: p does not
+    divide x / p^v.  Within the shared sieve, the powers of the primes up
+    to sqrt(hi) are struck in ascending order, so each entry ends at the
+    largest of them; then a prime p > sqrt(hi) dividing x overwrites it,
+    since x / p < p bounds every other prime power of x.  Those primes are
+    found per cofactor c = x / p.  Beyond the sieve each entry comes from
+    factorize.  Every entry is checked apart from how it was found.
+    """
+    if not 1 <= lo <= hi + 1:
+        raise ValueError(f"need 1 <= lo <= hi + 1, got lo={lo}, hi={hi}")
+    sieve = default_sieve()
+    if hi > sieve.limit:
+        out = [
+            max((p**e for p, e in factorize(x).items()), default=1) for x in range(lo, hi + 1)
+        ]
+    else:
+        out = [1] * (hi - lo + 1)
+        primes = sieve.primes
+        root = math.isqrt(hi)
+        powers = []
+        for p in primes[: bisect.bisect_right(primes, root)]:
+            q = p
+            while q <= hi:
+                powers.append(q)
+                q *= p
+        for q in sorted(powers):
+            start = -(-lo // q) * q - lo
+            out[start::q] = [q] * len(range(start, len(out), q))
+        for c in range(1, hi // (root + 1) + 1):
+            a = bisect.bisect_right(primes, max(root, (lo - 1) // c))
+            for p in primes[a : bisect.bisect_right(primes, hi // c)]:
+                out[c * p - lo] = p
+    _check_prime_powers(lo, out)
+    return out
+
+
+def _check_prime_powers(lo: int, qs: list[int]) -> None:
+    """Raise InternalContradiction unless each qs[k] is a prime power p^v
+    dividing lo + k exactly (and qs[k] = 1 at 1).  The base p is read off
+    the sieve's smallest-prime-factor table, or, beyond the sieve, taken as
+    the exact integer root that is prime."""
+    sieve = default_sieve()
+    spf = sieve._spf
+    for x, q in zip(range(lo, lo + len(qs)), qs):
+        if x == 1 and q == 1:
+            continue
+        if q < 2 or x % q:
+            p = 0
+        elif q <= sieve.limit:
+            p = spf[q] or q
+        else:
+            # q = p^v has an exact w-th root only for w dividing v, and
+            # the root for the largest such w is p.
+            p = q
+            for v in range(2, q.bit_length()):
+                r = round(q ** (1 / v))
+                if r**v == q:
+                    p = r
+            p = p if is_prime(p) else 0
+        r = q
+        while p and r % p == 0:
+            r //= p
+        if not p or r != 1 or x // q % p == 0:
+            raise InternalContradiction(f"{q} is not a prime power exactly dividing {x}")
 
 
 def vp(p: int, x: int) -> int:

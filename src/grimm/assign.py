@@ -11,9 +11,10 @@ Two questions, in increasing strength, for the window m+1 .. m+n:
 Both reduce to bipartite matchings that must saturate the index side.
 g_of_m and w_of_m extend them to "largest workable n", and
 scan_counterexamples sweeps a rectangle for all-composite windows where
-the strong form fails.  Those two walk each row m once: a window whose
-canonical representation has every part > 1 is settled by it, and only
-the rest reach the matching.
+the strong form fails.  Those two settle a window whose elements all
+carry a prime power > n without any walk (the H(n) lemma), walk each
+remaining row m once, settle a window whose canonical representation has
+every part > 1 by it, and send only the rest to the matching.
 """
 
 from __future__ import annotations
@@ -21,8 +22,9 @@ from __future__ import annotations
 import multiprocessing
 import operator
 from dataclasses import dataclass
+from itertools import accumulate
 
-from .arith import Window, all_prime, default_sieve, prime_divisors
+from .arith import Window, all_prime, default_sieve, largest_prime_powers, prime_divisors
 from .coprime import (
     CanonicalRow,
     CoprimeRepresentation,
@@ -205,18 +207,34 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap)
 
 
-def _decide_row(m: int, n_lo: int, n_hi: int):
+def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
     """(n, blocking evidence or None if feasible) for n = n_lo .. n_hi.
 
-    The row's canonical representations are grown one element at a time.
-    A window whose canonical parts are all > 1 is feasible, once its
-    certificate passes verify_representation; the rest go to the matching
-    on the same row, which supplies the blocking evidence.
+    tops holds L(m+1) .. L(m+n_hi), the largest prime power dividing each
+    element (see largest_prime_powers).  A window in which every
+    L(m+i) > n is feasible without a walk: the prime power p^v = L(m+i)
+    divides m+i exactly and is > n, so m+i is the window's only multiple
+    of p^v, v_p(C(m+n, n)) >= 1, and the canonical rule puts that prime's
+    power on m+i.  The rule is monotone in n, so it settles every n below
+    the row's first unsettled width n0.  From n0 on, the row's canonical
+    representations are grown one element at a time; a window whose
+    canonical parts are all > 1 is feasible once its certificate passes
+    verify_representation, and the rest go to the matching on the same
+    row, which supplies the blocking evidence.
     """
+    n0 = next(
+        (n for n, low in enumerate(accumulate(tops, min), 1) if low <= n),
+        n_hi + 1,
+    )
+    for n in range(n_lo, n0):
+        yield n, None
+    start = max(n_lo, n0)
+    if start > n_hi:
+        return
     row = CanonicalRow(m)
     for n in range(1, n_hi + 1):
         row.extend()
-        if n < n_lo:
+        if n < start:
             continue
         rep = row.representation()
         if rep.all_factors_nontrivial:
@@ -242,7 +260,8 @@ def w_of_m(m: int, cap: int) -> LargestN:
         raise ValueError("need m >= 1 and cap >= 1")
     if cap > W_CAP_GUARD:
         raise ValueError(f"cap {cap} beyond the runtime guard {W_CAP_GUARD}")
-    bitmap = tuple(blocking is None for _, blocking in _decide_row(m, 1, cap))
+    tops = largest_prime_powers(m + 1, m + cap)
+    bitmap = tuple(blocking is None for _, blocking in _decide_row(m, 1, cap, tops))
     value = max((n for n in range(1, cap + 1) if bitmap[n - 1]), default=0)
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap, feasible=bitmap)
 
@@ -259,10 +278,12 @@ class Counterexample:
 def _scan_chunk(args) -> list[Counterexample]:
     (m_lo, m_hi), (n_lo, n_hi) = args
     sieve = default_sieve(m_hi + n_hi + 1)
+    tops = largest_prime_powers(m_lo + 1, m_hi + n_hi)
     out = []
     for m in range(m_lo, m_hi + 1):
         run = sieve.composite_run(m, n_hi)
-        for n, blocking in _decide_row(m, n_lo, run):
+        k = m - m_lo
+        for n, blocking in _decide_row(m, n_lo, run, tops[k : k + run]):
             if blocking is not None:
                 out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
     return out
@@ -283,6 +304,9 @@ def scan_counterexamples(
     n_lo, n_hi = n_range
     if m_lo < 1 or n_lo < 0:
         raise ValueError("rectangle must start at m >= 1, n >= 0")
+    # Bertrand: a window with n >= m holds a prime in (m, 2m], so no
+    # all-composite window of the rectangle is wider than m_hi.
+    n_hi = min(n_hi, m_hi)
     if m_hi < m_lo or n_hi < n_lo or n_hi == 0:
         return []
     n_lo = max(n_lo, 1)

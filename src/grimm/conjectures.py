@@ -28,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import Window, default_sieve, is_prime
+from .arith import Window, default_sieve, is_prime, largest_prime_powers
 from .assign import (
     RepresentationDecision,
     _decide_row,
@@ -37,7 +37,6 @@ from .assign import (
 )
 from .coprime import InternalContradiction, construct_representation
 from .primegen import first_prime
-from .smooth import in_hn
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
 
@@ -169,19 +168,22 @@ class SmallWindowReport:
 
 def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
     sieve = default_sieve(m_max + max_n + 1)
+    # An element of an all-composite window lies in H(max_n) iff its
+    # largest prime power is <= max_n.
+    tops = largest_prime_powers(1, max(m_max + max_n, 0))
     checked = 0
     failures = []
     fallback = []
     for m in range(1, m_max + 1):
         run = sieve.composite_run(m, max_n)
-        for n, blocking in _decide_row(m, 2, run):
+        row_tops = tops[m : m + run]
+        for n, blocking in _decide_row(m, 2, run, row_tops):
             checked += 1
             if blocking is not None:
                 failures.append((m, n))
         if run >= max_n:
-            inside = tuple(
-                x for x in range(m + 1, m + max_n + 1) if in_hn(x, max_n)
-            )
+            elements = range(m + 1, m + max_n + 1)
+            inside = tuple(x for x, q in zip(elements, row_tops) if q <= max_n)
             if inside:
                 fallback.append((m, inside))
             else:

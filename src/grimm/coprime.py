@@ -14,6 +14,7 @@ import operator
 from dataclasses import dataclass
 
 from .arith import (
+    InternalContradiction,
     Window,
     _vp,
     _vp_binomial,
@@ -22,10 +23,6 @@ from .arith import (
     representation_threshold,
 )
 from .smooth import in_hn
-
-
-class InternalContradiction(ArithmeticError):
-    """A guaranteed arithmetic fact failed to hold: defect, not bad input."""
 
 
 @dataclass(frozen=True)

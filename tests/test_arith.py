@@ -4,14 +4,17 @@ import random
 import numpy as np
 import pytest
 
+import grimm.arith
 from grimm.arith import (
     DETERMINISTIC_PRIMALITY_BOUND,
+    InternalContradiction,
     PrimeSieve,
     Window,
     all_prime,
     default_sieve,
     factorize,
     is_prime,
+    largest_prime_powers,
     prime_count,
     prime_divisors,
     probable_prime,
@@ -20,6 +23,7 @@ from grimm.arith import (
     vp_binomial,
     vp_factorial,
 )
+from grimm.arith import _check_prime_powers
 from grimm.arith import _odd_part, _sprp  # the strong-round core
 from oracles import iterated_lcm, naive_factorize, naive_is_prime, naive_vp
 
@@ -320,3 +324,49 @@ def test_all_prime_table_and_beyond():
     beyond = [p for p in range(limit + 1, limit + 200) if naive_is_prime(p)]
     assert all_prime([2] + beyond)
     assert not all_prime([2, beyond[0] * 3])
+
+
+def naive_top(x):
+    return max((p**e for p, e in naive_factorize(x).items()), default=1)
+
+
+def test_largest_prime_powers_match_naive():
+    limit = default_sieve().limit
+    assert largest_prime_powers(1, 12) == [1, 2, 3, 4, 5, 3, 7, 8, 9, 5, 11, 4]
+    assert largest_prime_powers(5, 4) == []
+    # sieve strike, a range ending at the sieve limit, and factorize beyond it
+    for lo, hi in ((1, 3000), (97, 131), (limit - 40, limit), (limit - 5, limit + 40)):
+        assert largest_prime_powers(lo, hi) == [naive_top(x) for x in range(lo, hi + 1)], lo
+    # prime powers beyond the sieve: a prime, a square and a high power
+    for x, q in ((999_983 * 1_000_003, 1_000_003), (2 * 1009**2, 1009**2), (2 * 3**39, 3**39)):
+        assert largest_prime_powers(x, x) == [q]
+    with pytest.raises(ValueError):
+        largest_prime_powers(0, 5)
+    with pytest.raises(ValueError):
+        largest_prime_powers(5, 3)
+
+
+def test_prime_power_witness_check_catches_corruption(monkeypatch):
+    column = largest_prime_powers(10, 20)
+    _check_prime_powers(10, column)
+    # not exact (12 / 2 is even), not a prime power, not a divisor, 1, not exact
+    for x, bad in ((12, 2), (12, 6), (12, 8), (13, 1), (14, 5), (16, 4)):
+        corrupt = column[:]
+        corrupt[x - 10] = bad
+        with pytest.raises(InternalContradiction, match=f"{bad} is not a prime power"):
+            _check_prime_powers(10, corrupt)
+    # beyond the sieve: a composite that is no perfect power, and a prime
+    # square that does not divide exactly
+    x = 2 * 1009**2
+    for bad in (x, 1009):
+        with pytest.raises(InternalContradiction):
+            _check_prime_powers(x, [bad])
+    with pytest.raises(InternalContradiction):
+        _check_prime_powers(1009**3, [1009**2])
+    # The check runs on every column: a strike that misses the prime 7
+    # leaves 7 and 49 at 1.
+    small = PrimeSieve(100)
+    small.primes = [p for p in small.primes if p != 7]
+    monkeypatch.setattr(grimm.arith, "default_sieve", lambda *args: small)
+    with pytest.raises(InternalContradiction, match="1 is not a prime power exactly dividing 7$"):
+        largest_prime_powers(1, 50)

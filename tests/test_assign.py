@@ -229,8 +229,12 @@ def test_scan_checks_canonical_certificates(monkeypatch):
     corrupt_canonical(monkeypatch)
     with pytest.raises(InternalContradiction):
         scan_counterexamples((1, 200), (1, 12))
+    # 105 = 3 * 5 * 7 lies in H(7): row 104 is walked from n = 7 on, and its
+    # canonical certificates at n = 7, 8 are checked.  Below n = 7 the H(n)
+    # lemma settles the windows without building any certificate.
     with pytest.raises(InternalContradiction):
-        w_of_m(118, 8)
+        w_of_m(104, 8)
+    assert all(w_of_m(104, 6).feasible)
 
 
 def test_w_matches_per_window_decisions():

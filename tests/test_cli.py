@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import grimm.arith
 import grimm.cli
 from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, run
 from grimm.coprime import InternalContradiction
@@ -222,6 +223,22 @@ def test_sieve_guard_is_usage_error(capsys):
     assert captured.out == ""
     assert captured.err.startswith("error: ")
     assert "SIEVE_GUARD" in captured.err
+
+
+def test_scan_clamps_n_max_below_m_max(capsys):
+    # A window with n >= m holds a prime in (m, 2m], so a scan with
+    # m <= 200 is complete at n_max = 200 and sizes nothing beyond it.
+    before = grimm.arith.default_sieve().limit
+    scan = ("scan", "--m-max", "200", "--format", "json", "--n-max")
+    code, wide = run_capture(capsys, *scan, "3000000")
+    assert code == EXIT_FINDINGS
+    assert grimm.arith.default_sieve().limit == before
+    code, narrow = run_capture(capsys, *scan, "200")
+    assert code == EXIT_FINDINGS
+    wide, narrow = json.loads(wide), json.loads(narrow)
+    assert wide["result"]["n_range"] == [1, 3000000]
+    assert wide["result"]["counterexamples"] == narrow["result"]["counterexamples"]
+    assert wide["findings"] == narrow["findings"] != []
 
 
 def test_unwritable_output_is_usage_error(tmp_path, capsys):
