@@ -212,6 +212,20 @@ def test_scan_worker_independence():
     assert solo == duo
 
 
+def test_scan_pool_only_for_large_rectangles(monkeypatch):
+    pools = []
+    real = grimm.assign.multiprocessing.Pool
+    monkeypatch.setattr(
+        grimm.assign.multiprocessing, "Pool", lambda n: pools.append(n) or real(n)
+    )
+    solo = scan_counterexamples((1, 4500), (1, 8), workers=1)
+    assert scan_counterexamples((1, 4500), (1, 8), workers=2) == solo
+    assert pools == []  # below SCAN_POOL_MIN_ROWS: in-process
+    monkeypatch.setattr(grimm.assign, "SCAN_POOL_MIN_ROWS", 1000)
+    assert scan_counterexamples((1, 4500), (1, 8), workers=2) == solo
+    assert pools == [2]
+
+
 def corrupt_canonical(monkeypatch):
     """Make every canonical certificate claim one power of its first prime
     too many, leaving its parts as they were."""

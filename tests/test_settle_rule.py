@@ -6,8 +6,8 @@ import multiprocessing
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grimm.arith import Window, is_prime, largest_prime_powers
-from grimm.assign import _scan_chunk, scan_counterexamples
+from grimm.arith import Window, default_sieve, is_prime, largest_prime_powers
+from grimm.assign import Counterexample, _decide_row, _scan_chunk, scan_counterexamples
 from grimm.coprime import CanonicalRow, construct_representation, verify_representation
 from grimm.smooth import in_hn
 from oracles import naive_factorize
@@ -56,3 +56,24 @@ def test_scan_chunks_under_spawn():
     assert spawned == [_scan_chunk(b) for b in blocks]
     assert sum(spawned, []) == scan_counterexamples((1, 400), (1, 12))
     assert spawned[1]  # the windows blocked at 120
+
+
+def walk_every_row(m_lo, m_hi, n_hi):
+    sieve = default_sieve(m_hi + n_hi + 1)
+    tops = largest_prime_powers(m_lo + 1, m_hi + n_hi)
+    out = []
+    for m in range(m_lo, m_hi + 1):
+        run = sieve.composite_run(m, n_hi)
+        k = m - m_lo
+        for n, blocking in _decide_row(m, 1, run, tops[k : k + run]):
+            if blocking is not None:
+                out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
+    return out
+
+
+def test_chunk_row_skip_keeps_every_unsettled_row():
+    # _scan_chunk decides only the rows within n_hi below an element x with
+    # L(x) <= n_hi; both edges (x at offset n_hi, L(x) = n_hi) matter here
+    for n_hi in (8, 11, 17):
+        block = ((1, 20000), (1, n_hi))
+        assert _scan_chunk(block) == walk_every_row(1, 20000, n_hi), n_hi
