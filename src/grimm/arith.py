@@ -287,7 +287,9 @@ def factorize(x: int) -> dict[int, int]:
     if x < 1:
         raise ValueError(f"cannot factorize {x}")
     if x >= FACTORIZATION_BOUND:
-        raise ValueError(f"{x} exceeds the 64-bit factorization guard")
+        raise ValueError(
+            f"{x} exceeds the factorization guard FACTORIZATION_BOUND = {FACTORIZATION_BOUND}"
+        )
     sieve = default_sieve()
     if x <= sieve.limit:
         return sieve.factorize(x)

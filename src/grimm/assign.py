@@ -259,7 +259,7 @@ def w_of_m(m: int, cap: int) -> LargestN:
     if m < 1 or cap < 1:
         raise ValueError("need m >= 1 and cap >= 1")
     if cap > W_CAP_GUARD:
-        raise ValueError(f"cap {cap} beyond the runtime guard {W_CAP_GUARD}")
+        raise ValueError(f"cap {cap} beyond the runtime guard W_CAP_GUARD = {W_CAP_GUARD}")
     tops = largest_prime_powers(m + 1, m + cap)
     bitmap = tuple(blocking is None for _, blocking in _decide_row(m, 1, cap, tops))
     value = max((n for n in range(1, cap + 1) if bitmap[n - 1]), default=0)
@@ -295,6 +295,17 @@ def _scan_chunk(args) -> list[Counterexample]:
             if blocking is not None:
                 out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
     return out
+
+
+def map_blocks(fn, blocks: list, workers: int) -> list:
+    """The concatenated lists fn(block), in block order: in-process, or in a
+    pool of at most one worker per block."""
+    if workers <= 1 or len(blocks) <= 1:
+        pieces = map(fn, blocks)
+    else:
+        with multiprocessing.Pool(min(workers, len(blocks))) as pool:
+            pieces = pool.map(fn, blocks)
+    return [item for piece in pieces for item in piece]
 
 
 # With the settle rule a scan row costs about 10 us in-process (20,000 rows
@@ -334,12 +345,6 @@ def scan_counterexamples(
         ((lo, min(lo + chunk - 1, m_hi)), (n_lo, n_hi))
         for lo in range(m_lo, m_hi + 1, chunk)
     ]
-    if workers <= 1 or m_hi - m_lo + 1 < SCAN_POOL_MIN_ROWS:
-        pieces = [_scan_chunk(b) for b in blocks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            pieces = pool.map(_scan_chunk, blocks)
-    out: list[Counterexample] = []
-    for piece in pieces:
-        out.extend(piece)
-    return out
+    if m_hi - m_lo + 1 < SCAN_POOL_MIN_ROWS:
+        workers = 1
+    return map_blocks(_scan_chunk, blocks, workers)

@@ -19,6 +19,7 @@ import json
 import os
 import sys
 import time
+from typing import Callable
 
 from . import __version__
 from .arith import Window
@@ -51,6 +52,31 @@ def _default_workers() -> int:
         return 1
 
 
+def _int(flag: str, default=None, required: bool = False):
+    """An integer option as (flag, add_argument keywords)."""
+    return flag, {"type": int, "default": default, "required": required}
+
+
+@dataclasses.dataclass(frozen=True)
+class _Subcommand:
+    help: str
+    arguments: tuple  # (flag, add_argument keywords), in --help order
+    run: Callable  # args -> (result payload, findings list)
+    csv: tuple | None  # (columns, body lines over payload); None: key,value rows
+
+
+# Every subcommand in --help order, declared by _subcommand above its runner.
+_SUBCOMMANDS: dict[str, _Subcommand] = {}
+
+
+def _subcommand(name: str, help: str, *arguments, csv=None):
+    def register(run):
+        _SUBCOMMANDS[name] = _Subcommand(help, arguments, run, csv)
+        return run
+
+    return register
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="grimm",
@@ -58,86 +84,18 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=f"grimm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    def common(p):
-        p.add_argument("--workers", type=int, default=_default_workers())
-        p.add_argument("--format", choices=("json", "csv", "text"), default="text")
-        p.add_argument("--output", default=None, help="write the report to a file")
-        p.add_argument("--seed", type=int, default=0)
-        p.add_argument(
-            "--timings", action="store_true", help="include wall-clock timing in the report"
-        )
-
-    p = sub.add_parser("verify", help="distinct-prime assignment on every composite run")
-    p.add_argument("--limit", type=int, default=10**6)
-    p.add_argument("--min-len", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("runs", help="maximal composite runs within a limit")
-    p.add_argument("--limit", type=int, required=True)
-    p.add_argument("--min-len", type=int, default=1)
-    common(p)
-
-    p = sub.add_parser("factorize", help="coprime representation for one window")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("g", help="largest n with a distinct-prime assignment")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cap", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("w", help="largest n with a full coprime representation")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--cap", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("scan", help="rectangle scan for representation counterexamples")
-    p.add_argument("--m-min", type=int, default=1)
-    p.add_argument("--m-max", type=int, required=True)
-    p.add_argument("--n-min", type=int, default=1)
-    p.add_argument("--n-max", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("hn", help="the set H(n) of bounded-prime-power composites")
-    p.add_argument("--n", type=int, required=True)
-    p.add_argument("--count-only", action="store_true")
-    common(p)
-
-    p = sub.add_parser(
-        "verify-small", help="exhaustive short-window check below the threshold"
+    common = (
+        _int("--workers", _default_workers()),
+        ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
+        ("--output", {"default": None, "help": "write the report to a file"}),
+        _int("--seed", 0),
+        ("--timings", {"action": "store_true",
+                       "help": "include wall-clock timing in the report"}),
     )
-    p.add_argument("--m-max", type=int, default=420)
-    p.add_argument("--max-n", type=int, default=7)
-    common(p)
-
-    p = sub.add_parser("conjecture1", help="probe one all-composite window")
-    p.add_argument("--m", type=int, required=True)
-    p.add_argument("--n", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("conjecture2", help="prime-presence probes near block divisors")
-    p.add_argument("--part", choices=("i", "ii"), required=True)
-    p.add_argument("--n-min", type=int, default=None)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--budget", type=int, default=None)
-    common(p)
-
-    p = sub.add_parser("cramer-gap", help="2q vs (ln(d-q))^2 over prime blocks")
-    p.add_argument("--n-min", type=int, default=2)
-    p.add_argument("--n-max", type=int, required=True)
-    common(p)
-
-    p = sub.add_parser("primegen", help="generate a prime near a small-prime product")
-    p.add_argument("--bits", type=int, required=True)
-    p.add_argument("--band-start", type=int, default=29)
-    p.add_argument("--mr-rounds", type=int, default=40)
-    p.add_argument(
-        "--candidates", default=None, help="comma-separated primes overriding the band scan"
-    )
-    common(p)
-
+    for name, spec in _SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=spec.help)
+        for flag, keywords in (*spec.arguments, *common):
+            p.add_argument(flag, **keywords)
     return parser
 
 
@@ -151,167 +109,194 @@ def _plain(obj):
     return obj
 
 
-def _run_subcommand(args) -> tuple[dict, list]:
-    """Returns (result payload, findings list)."""
-    sc = args.subcommand
-    if sc == "verify":
-        report = verify_grimm_range(args.limit, args.min_len, args.workers)
-        payload = {
-            "range_limit": report.range_limit,
-            "windows_checked": report.windows_checked,
-            "worker_count": report.worker_count,
-            "failures": _plain(report.failures),
-        }
-        if args.timings:
-            payload["elapsed_seconds"] = report.elapsed
-        return payload, _plain(report.failures)
-
-    if sc == "runs":
-        runs = enumerate_composite_runs(args.limit, args.min_len)
-        return {"limit": args.limit, "min_len": args.min_len, "count": len(runs),
-                "runs": [{"start": r.start, "length": r.length, "end": r.end} for r in runs]}, []
-
-    if sc == "factorize":
-        w = Window(args.m, args.n)
-        rep = construct_representation(w)
-        decision = exact_representation_exists(w)
-        payload = {
-            "m": args.m,
-            "n": args.n,
-            "construction": {
-                "factors": list(rep.factors),
-                "assignment": [list(t) for t in rep.assignment],
-                "verified": verify_representation(rep),
-            },
-            "full_representation": _plain(decision),
-        }
-        return payload, []
-
-    if sc == "g":
-        res = g_of_m(args.m, args.cap)
-        return {"m": res.m, "cap": res.cap, "value": res.value, "cap_hit": res.cap_hit}, []
-
-    if sc == "w":
-        res = w_of_m(args.m, args.cap)
-        findings = [
-            {"m": args.m, "n": i + 1, "reason": "no full representation"}
-            for i, ok in enumerate(res.feasible)
-            if not ok
-        ]
-        return {
-            "m": res.m,
-            "cap": res.cap,
-            "value": res.value,
-            "cap_hit": res.cap_hit,
-            "bitmap": list(res.feasible),
-        }, findings
-
-    if sc == "scan":
-        hits = scan_counterexamples(
-            (args.m_min, args.m_max), (args.n_min, args.n_max), args.workers
-        )
-        return {
-            "m_range": [args.m_min, args.m_max],
-            "n_range": [args.n_min, args.n_max],
-            "counterexamples": _plain(hits),
-        }, _plain(hits)
-
-    if sc == "hn":
-        payload = {"n": args.n, "cardinality": hn_cardinality(args.n)}
-        if not args.count_only:
-            payload["elements"] = enumerate_hn(args.n).elements
-        return payload, []
-
-    if sc == "verify-small":
-        rep = verify_small_windows(args.m_max, args.max_n)
-        findings = [{"m": m, "n": n} for m, n in rep.failures]
-        return {
-            "m_max": rep.m_max,
-            "max_n": rep.max_n,
-            "windows_checked": rep.windows_checked,
-            "failures": findings,
-            "fallback_windows": [
-                {"m": m, "inside": list(xs)} for m, xs in rep.fallback_windows
-            ],
-        }, findings
-
-    if sc == "conjecture1":
-        decision = conjecture1_probe(Window(args.m, args.n))
-        findings = [] if decision.feasible else [_plain(decision.blocking)]
-        return {"m": args.m, "n": args.n, "holds": decision.feasible,
-                "blocking": _plain(decision.blocking)}, findings
-
-    if sc == "conjecture2":
-        n_lo = args.n_min if args.n_min is not None else (2 if args.part == "i" else 3)
-        probe = conjecture2_i if args.part == "i" else conjecture2_ii
-        probes = 0
-        vacuous = 0
-        violations = []
-        for n in range(n_lo, args.n_max + 1):
-            for rec in probe(n, args.budget, args.seed):
-                probes += 1
-                vacuous += rec.vacuous
-                if not rec.ok:
-                    violations.append(_plain(rec))
-        return {
-            "part": args.part,
-            "n_range": [n_lo, args.n_max],
-            "probes": probes,
-            "vacuous": vacuous,
-            "violations": violations,
-        }, violations
-
-    if sc == "cramer-gap":
-        records, least = cramer_gap_scan(args.n_min, args.n_max)
-        findings = [_plain(r) for r in records if r.holds is False]
-        return {
-            "n_range": [args.n_min, args.n_max],
-            "records": _plain(records),
-            "least_n_holding_onward": least,
-        }, findings
-
-    if sc == "primegen":
-        candidates = None
-        if args.candidates:
-            candidates = [int(t) for t in args.candidates.split(",")]
-        pool, res = generate(
-            args.bits, args.band_start, args.mr_rounds, args.seed, candidates
-        )
-        findings = []
-        if res.conjecture2_violation:
-            findings.append({"k": res.k, "reason": "empty sweep",
-                             "n": 2 * (pool.primes[0] // 2) + 1})
-        return {
-            "bits": args.bits,
-            "pool": list(pool.primes),
-            "k": res.k,
-            "offset": res.offset,
-            "prime": res.prime,
-            "bit_length": res.bit_length,
-            "conjecture2_violation": res.conjecture2_violation,
-        }, findings
-
-    raise ValueError(f"unknown subcommand {sc}")
-
-
 def _rows(key: str, cols: tuple[str, ...]):
     """A CSV table of the dict rows under payload[key]: (columns, body)."""
     return cols, lambda p: [",".join(str(row[c]) for c in cols) for row in p[key]]
 
 
-# Fixed CSV table layout per subcommand: (columns, body lines over payload).
-_CSV_TABLES = {
-    "verify": _rows("failures", ("m", "n", "reason")),
-    "runs": _rows("runs", ("start", "length", "end")),
-    "scan": _rows("counterexamples", ("m", "n", "blocking_value")),
-    "w": (("n", "feasible"), lambda p: [
-        f"{n},{ok}" for n, ok in enumerate(p["bitmap"], 1)]),
-    "hn": (("element",), lambda p: [  # one joined block per _JSON_BLOCK members
-        "\n".join(map(str, p["elements"][i : i + _JSON_BLOCK]))
-        for i in range(0, len(p.get("elements", ())), _JSON_BLOCK)]),
-    "cramer-gap": _rows("records", ("n", "q", "d", "lhs", "rhs", "holds")),
-    "verify-small": _rows("failures", ("m", "n")),
-}
+@_subcommand("verify", "distinct-prime assignment on every composite run",
+             _int("--limit", 10**6), _int("--min-len", 1),
+             csv=_rows("failures", ("m", "n", "reason")))
+def _verify(args):
+    report = verify_grimm_range(args.limit, args.min_len, args.workers)
+    payload = {
+        "range_limit": report.range_limit,
+        "windows_checked": report.windows_checked,
+        "worker_count": report.worker_count,
+        "failures": _plain(report.failures),
+    }
+    if args.timings:
+        payload["elapsed_seconds"] = report.elapsed
+    return payload, _plain(report.failures)
+
+
+@_subcommand("runs", "maximal composite runs within a limit",
+             _int("--limit", required=True), _int("--min-len", 1),
+             csv=_rows("runs", ("start", "length", "end")))
+def _runs(args):
+    runs = enumerate_composite_runs(args.limit, args.min_len)
+    return {"limit": args.limit, "min_len": args.min_len, "count": len(runs),
+            "runs": [{"start": r.start, "length": r.length, "end": r.end} for r in runs]}, []
+
+
+@_subcommand("factorize", "coprime representation for one window",
+             _int("--m", required=True), _int("--n", required=True))
+def _factorize(args):
+    w = Window(args.m, args.n)
+    rep = construct_representation(w)
+    decision = exact_representation_exists(w)
+    payload = {
+        "m": args.m,
+        "n": args.n,
+        "construction": {
+            "factors": list(rep.factors),
+            "assignment": [list(t) for t in rep.assignment],
+            "verified": verify_representation(rep),
+        },
+        "full_representation": _plain(decision),
+    }
+    return payload, []
+
+
+@_subcommand("g", "largest n with a distinct-prime assignment",
+             _int("--m", required=True), _int("--cap"))
+def _g(args):
+    res = g_of_m(args.m, args.cap)
+    return {"m": res.m, "cap": res.cap, "value": res.value, "cap_hit": res.cap_hit}, []
+
+
+@_subcommand("w", "largest n with a full coprime representation",
+             _int("--m", required=True), _int("--cap", required=True),
+             csv=(("n", "feasible"),
+                  lambda p: [f"{n},{ok}" for n, ok in enumerate(p["bitmap"], 1)]))
+def _w(args):
+    res = w_of_m(args.m, args.cap)
+    findings = [
+        {"m": args.m, "n": i + 1, "reason": "no full representation"}
+        for i, ok in enumerate(res.feasible)
+        if not ok
+    ]
+    return {
+        "m": res.m,
+        "cap": res.cap,
+        "value": res.value,
+        "cap_hit": res.cap_hit,
+        "bitmap": list(res.feasible),
+    }, findings
+
+
+@_subcommand("scan", "rectangle scan for representation counterexamples",
+             _int("--m-min", 1), _int("--m-max", required=True),
+             _int("--n-min", 1), _int("--n-max", required=True),
+             csv=_rows("counterexamples", ("m", "n", "blocking_value")))
+def _scan(args):
+    hits = scan_counterexamples(
+        (args.m_min, args.m_max), (args.n_min, args.n_max), args.workers
+    )
+    return {
+        "m_range": [args.m_min, args.m_max],
+        "n_range": [args.n_min, args.n_max],
+        "counterexamples": _plain(hits),
+    }, _plain(hits)
+
+
+@_subcommand("hn", "the set H(n) of bounded-prime-power composites",
+             _int("--n", required=True), ("--count-only", {"action": "store_true"}),
+             csv=(("element",), lambda p: [  # one joined block per _JSON_BLOCK members
+                 "\n".join(map(str, p["elements"][i : i + _JSON_BLOCK]))
+                 for i in range(0, len(p.get("elements", ())), _JSON_BLOCK)]))
+def _hn(args):
+    payload = {"n": args.n, "cardinality": hn_cardinality(args.n)}
+    if not args.count_only:
+        payload["elements"] = enumerate_hn(args.n).elements
+    return payload, []
+
+
+@_subcommand("verify-small", "exhaustive short-window check below the threshold",
+             _int("--m-max", 420), _int("--max-n", 7), csv=_rows("failures", ("m", "n")))
+def _verify_small(args):
+    rep = verify_small_windows(args.m_max, args.max_n)
+    findings = [{"m": m, "n": n} for m, n in rep.failures]
+    return {
+        "m_max": rep.m_max,
+        "max_n": rep.max_n,
+        "windows_checked": rep.windows_checked,
+        "failures": findings,
+        "fallback_windows": [
+            {"m": m, "inside": list(xs)} for m, xs in rep.fallback_windows
+        ],
+    }, findings
+
+
+@_subcommand("conjecture1", "probe one all-composite window",
+             _int("--m", required=True), _int("--n", required=True))
+def _conjecture1(args):
+    decision = conjecture1_probe(Window(args.m, args.n))
+    findings = [] if decision.feasible else [_plain(decision.blocking)]
+    return {"m": args.m, "n": args.n, "holds": decision.feasible,
+            "blocking": _plain(decision.blocking)}, findings
+
+
+@_subcommand("conjecture2", "prime-presence probes near block divisors",
+             ("--part", {"choices": ("i", "ii"), "required": True}),
+             _int("--n-min"), _int("--n-max", required=True), _int("--budget"))
+def _conjecture2(args):
+    n_lo = args.n_min if args.n_min is not None else (2 if args.part == "i" else 3)
+    probe = conjecture2_i if args.part == "i" else conjecture2_ii
+    probes = 0
+    vacuous = 0
+    violations = []
+    for n in range(n_lo, args.n_max + 1):
+        for rec in probe(n, args.budget, args.seed):
+            probes += 1
+            vacuous += rec.vacuous
+            if not rec.ok:
+                violations.append(_plain(rec))
+    return {
+        "part": args.part,
+        "n_range": [n_lo, args.n_max],
+        "probes": probes,
+        "vacuous": vacuous,
+        "violations": violations,
+    }, violations
+
+
+@_subcommand("cramer-gap", "2q vs (ln(d-q))^2 over prime blocks",
+             _int("--n-min", 2), _int("--n-max", required=True),
+             csv=_rows("records", ("n", "q", "d", "lhs", "rhs", "holds")))
+def _cramer_gap(args):
+    records, least = cramer_gap_scan(args.n_min, args.n_max)
+    findings = [_plain(r) for r in records if r.holds is False]
+    return {
+        "n_range": [args.n_min, args.n_max],
+        "records": _plain(records),
+        "least_n_holding_onward": least,
+    }, findings
+
+
+@_subcommand("primegen", "generate a prime near a small-prime product",
+             _int("--bits", required=True), _int("--band-start", 29), _int("--mr-rounds", 40),
+             ("--candidates", {"help": "comma-separated primes overriding the band scan"}))
+def _primegen(args):
+    candidates = None
+    if args.candidates:
+        candidates = [int(t) for t in args.candidates.split(",")]
+    pool, res = generate(
+        args.bits, args.band_start, args.mr_rounds, args.seed, candidates
+    )
+    findings = []
+    if res.conjecture2_violation:
+        findings.append({"k": res.k, "reason": "empty sweep",
+                         "n": 2 * (pool.primes[0] // 2) + 1})
+    return {
+        "bits": args.bits,
+        "pool": list(pool.primes),
+        "k": res.k,
+        "offset": res.offset,
+        "prime": res.prime,
+        "bit_length": res.bit_length,
+        "conjecture2_violation": res.conjecture2_violation,
+    }, findings
 
 
 def render_report(report: dict, fmt: str) -> str:
@@ -381,7 +366,6 @@ def _emit_json(value, level: int, parts: list[str]) -> None:
 
 
 def _render_csv(report: dict) -> str:
-    sc = report["config"]["subcommand"]
     lines = [
         f"# schema_version={report['schema_version']}",
         f"# artifact=grimm {report['artifact']['version']}",
@@ -389,8 +373,9 @@ def _render_csv(report: dict) -> str:
         f"# status={report['status']}",
     ]
     payload = report["result"]
-    if sc in _CSV_TABLES:
-        cols, body = _CSV_TABLES[sc]
+    table = _SUBCOMMANDS[report["config"]["subcommand"]].csv
+    if table is not None:
+        cols, body = table
         lines.append(",".join(cols))
         lines.extend(body(payload))
     else:
@@ -449,7 +434,7 @@ def run(argv=None) -> int:
 
 def _report(args) -> int:
     t0 = time.monotonic()
-    payload, findings = _run_subcommand(args)
+    payload, findings = _SUBCOMMANDS[args.subcommand].run(args)
     config = {
         "subcommand": args.subcommand,
         "params": {

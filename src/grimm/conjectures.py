@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -34,6 +33,7 @@ from .assign import (
     _decide_row,
     _settle_grimm,
     exact_representation_exists,
+    map_blocks,
 )
 from .coprime import InternalContradiction, construct_representation
 from .primegen import first_prime
@@ -128,18 +128,10 @@ def verify_grimm_range(
     windows = [(r.start - 1, r.length) for r in runs]
     chunk = 4096
     blocks = [windows[i : i + chunk] for i in range(0, len(windows), chunk)]
-    if workers <= 1 or len(blocks) <= 1:
-        pieces = [_grimm_chunk(b) for b in blocks]
-    else:
-        with multiprocessing.Pool(workers) as pool:
-            pieces = pool.map(_grimm_chunk, blocks)
-    failures: list[GrimmFailure] = []
-    for piece in pieces:
-        failures.extend(piece)
     return VerificationReport(
         range_limit=limit,
         windows_checked=len(windows),
-        failures=failures,
+        failures=map_blocks(_grimm_chunk, blocks, workers),
         elapsed=time.monotonic() - t0,
         worker_count=workers,
     )
@@ -265,8 +257,8 @@ def _block_divisors(primes: list[int], budget: int | None, seed: int):
     if budget is None:
         if k > SUBSET_GUARD:
             raise ValueError(
-                f"{k} primes in the block exceeds the 2^{SUBSET_GUARD} subset"
-                " guard; pass a divisor budget"
+                f"{k} primes in the block, beyond the subset guard"
+                f" SUBSET_GUARD = {SUBSET_GUARD}; pass a divisor budget"
             )
         for size in range(1, k + 1):
             for sub in itertools.combinations(primes, size):

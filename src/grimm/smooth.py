@@ -89,8 +89,8 @@ def enumerate_hn(n: int) -> HnSet:
     count = vector_count(n)
     if count > ENUMERATION_GUARD:
         raise ValueError(
-            f"H({n}) enumeration needs {count} exponent vectors"
-            f" (guard {ENUMERATION_GUARD})"
+            f"H({n}) enumeration needs {count} exponent vectors, beyond the"
+            f" guard ENUMERATION_GUARD = {ENUMERATION_GUARD}"
         )
     primes = _primes_upto(n)
     out = [1]

@@ -1,4 +1,5 @@
 import dataclasses
+import multiprocessing
 import random
 
 import pytest
@@ -6,12 +7,14 @@ import pytest
 import grimm.assign
 from grimm.arith import Window, default_sieve, representation_threshold
 from grimm.assign import (
+    SCAN_POOL_MIN_ROWS,
     exact_representation_exists,
     g_of_m,
     grimm_assignment,
     scan_counterexamples,
     w_of_m,
 )
+from grimm.conjectures import verify_grimm_range
 from grimm.coprime import CanonicalRow, InternalContradiction, verify_representation
 from oracles import exact_representation_feasible, grimm_feasible
 
@@ -224,6 +227,47 @@ def test_scan_pool_only_for_large_rectangles(monkeypatch):
     monkeypatch.setattr(grimm.assign, "SCAN_POOL_MIN_ROWS", 1000)
     assert scan_counterexamples((1, 4500), (1, 8), workers=2) == solo
     assert pools == [2]
+
+
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """Replaces multiprocessing.Pool by one that records the size asked
+    for and maps in-process, so no process is started."""
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, processes):
+            sizes.append(processes)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, blocks):
+            return list(map(fn, blocks))
+
+    monkeypatch.setattr(multiprocessing, "Pool", InProcessPool)
+    return sizes
+
+
+def test_verify_pool_holds_at_most_one_worker_per_block(pool_sizes):
+    solo = verify_grimm_range(2 * 10**5)
+    blocks = -(-solo.windows_checked // 4096)
+    assert pool_sizes == [] and blocks == 5
+    assert verify_grimm_range(2 * 10**5, workers=64).failures == solo.failures
+    assert verify_grimm_range(2 * 10**5, workers=2).failures == solo.failures
+    assert pool_sizes == [blocks, 2]
+
+
+def test_scan_pool_holds_at_most_one_worker_per_block(pool_sizes):
+    rows = SCAN_POOL_MIN_ROWS
+    solo = scan_counterexamples((1, rows), (1, 8))
+    assert scan_counterexamples((1, rows), (1, 8), workers=64) == solo
+    assert pool_sizes == [rows // 2048]
+    assert scan_counterexamples((2, rows), (1, 8), workers=64) == solo
+    assert pool_sizes == [rows // 2048]  # one row short: in-process
 
 
 def corrupt_canonical(monkeypatch):

@@ -3,11 +3,15 @@ parameters of every subcommand."""
 
 import dataclasses
 import hashlib
+import re
+from pathlib import Path
 
 import pytest
 
 import grimm.conjectures
-from grimm.cli import build_parser, run
+from grimm.cli import EXIT_ERROR, build_parser, run
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 FORMATS = ("json", "csv", "text")
 
@@ -149,9 +153,13 @@ PARSED = [
 ]
 
 
-def test_parsed_arguments_cover_every_subcommand():
+def _declared() -> list[str]:
     sub = next(a for a in build_parser()._actions if a.dest == "subcommand")
-    assert [argv[0] for argv, _ in PARSED] == list(sub.choices)
+    return list(sub.choices)
+
+
+def test_parsed_arguments_cover_every_subcommand():
+    assert [argv[0] for argv, _ in PARSED] == _declared()
 
 
 @pytest.mark.parametrize("argv, own", PARSED, ids=[argv[0] for argv, _ in PARSED])
@@ -159,3 +167,23 @@ def test_parsed_arguments(monkeypatch, argv, own):
     monkeypatch.delenv("GRIMM_WORKERS", raising=False)
     args = vars(build_parser().parse_args(list(argv)))
     assert args == {"subcommand": argv[0], **own, **COMMON}
+
+
+@pytest.mark.parametrize("argv, guard", [
+    (("hn", "--n", "200"), "ENUMERATION_GUARD"),
+    (("w", "--m", "5", "--cap", "10001"), "W_CAP_GUARD"),
+    (("conjecture2", "--part", "i", "--n-min", "100", "--n-max", "100"), "SUBSET_GUARD"),
+    (("factorize", "--m", str(2**64), "--n", "1"), "FACTORIZATION_BOUND"),
+    (("scan", "--m-max", str(10**10), "--n-max", "2"), "SIEVE_GUARD"),
+])
+def test_guard_errors_name_their_guard(capsys, argv, guard):
+    assert run(list(argv)) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err.startswith("error: ") and guard in err
+
+
+def test_readme_lists_the_declared_subcommands():
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| subcommand |"):].split("\n\n", 1)[0]
+    assert re.findall(r"^\| `([^`]+)` \|", table, re.M) == _declared()
