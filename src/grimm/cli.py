@@ -87,7 +87,7 @@ def build_parser() -> argparse.ArgumentParser:
     common = (
         _int("--workers", _default_workers()),
         ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
-        ("--output", {"default": None, "help": "write the report to a file"}),
+        ("--output", {"help": "write the report to a file"}),
         _int("--seed", 0),
         ("--timings", {"action": "store_true",
                        "help": "include wall-clock timing in the report"}),
