@@ -114,17 +114,6 @@ class PrimeSieve:
         self._check(x)
         return bisect.bisect_right(self.primes, x)
 
-    def prime_counts(self, xs):
-        """pi over an array of arguments within the sieve range, as a numpy
-        array; numpy is imported here only."""
-        import numpy as np
-
-        xs = np.asarray(xs)
-        if xs.size:
-            self._check(int(xs.min()))
-            self._check(int(xs.max()))
-        return np.searchsorted(np.asarray(self.primes), xs, side="right")
-
     def factorize(self, x: int) -> dict[int, int]:
         """Exact factorization of 1 <= x <= limit via repeated spf lookup."""
         if not 1 <= x <= self.limit:

@@ -57,6 +57,17 @@ def _int(flag: str, default=None, required: bool = False):
     return flag, {"type": int, "default": default, "required": required}
 
 
+def _count(text: str) -> int:
+    """The value of a count option (--workers, --budget): an integer >= 1."""
+    try:
+        value = int(text)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"invalid int value: {text!r}") from None
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"must be >= 1, got {value}")
+    return value
+
+
 @dataclasses.dataclass(frozen=True)
 class _Subcommand:
     help: str
@@ -85,7 +96,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"grimm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     common = (
-        _int("--workers", _default_workers()),
+        ("--workers", {"type": _count, "default": _default_workers()}),
         ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
         ("--output", {"help": "write the report to a file"}),
         _int("--seed", 0),
@@ -239,7 +250,7 @@ def _conjecture1(args):
 
 @_subcommand("conjecture2", "prime-presence probes near block divisors",
              ("--part", {"choices": ("i", "ii"), "required": True}),
-             _int("--n-min"), _int("--n-max", required=True), _int("--budget"))
+             _int("--n-min"), _int("--n-max", required=True), ("--budget", {"type": _count}))
 def _conjecture2(args):
     n_lo = args.n_min if args.n_min is not None else (2 if args.part == "i" else 3)
     probe = conjecture2_i if args.part == "i" else conjecture2_ii

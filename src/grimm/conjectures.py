@@ -30,10 +30,10 @@ from dataclasses import dataclass, field
 from .arith import Window, default_sieve, is_prime, largest_prime_powers
 from .assign import (
     RepresentationDecision,
-    _decide_row,
     _settle_grimm,
     exact_representation_exists,
     map_blocks,
+    scan_counterexamples,
 )
 from .coprime import InternalContradiction, construct_representation
 from .primegen import first_prime
@@ -47,15 +47,10 @@ class CompositeRun:
 
     start: int
     length: int
-    maximal: bool = True
 
     @property
     def end(self) -> int:
         return self.start + self.length - 1
-
-    @property
-    def window(self) -> Window:
-        return Window(self.start - 1, self.length)
 
 
 def enumerate_composite_runs(limit: int, min_len: int = 1) -> list[CompositeRun]:
@@ -159,36 +154,28 @@ class SmallWindowReport:
 
 
 def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
+    """The failures are those of scan_counterexamples on m <= m_max, 2 <= n <= max_n."""
     sieve = default_sieve(m_max + max_n + 1)
     # An element of an all-composite window lies in H(max_n) iff its
     # largest prime power is <= max_n.
     tops = largest_prime_powers(1, max(m_max + max_n, 0))
     checked = 0
-    failures = []
     fallback = []
     for m in range(1, m_max + 1):
         run = sieve.composite_run(m, max_n)
-        row_tops = tops[m : m + run]
-        for n, blocking in _decide_row(m, 2, run, row_tops):
-            checked += 1
-            if blocking is not None:
-                failures.append((m, n))
-        if run >= max_n:
-            elements = range(m + 1, m + max_n + 1)
-            inside = tuple(x for x, q in zip(elements, row_tops) if q <= max_n)
-            if inside:
-                fallback.append((m, inside))
-            else:
-                rep = construct_representation(Window(m, max_n))
-                if not rep.all_factors_nontrivial:
-                    raise InternalContradiction(
-                        f"trivial part on an H({max_n})-free window at m={m}"
-                    )
+        checked += max(run - 1, 0)  # the all-composite widths 2 .. run
+        if run < max_n:
+            continue
+        inside = tuple(x for x, q in enumerate(tops[m : m + max_n], m + 1) if q <= max_n)
+        if inside:
+            fallback.append((m, inside))
+        elif not construct_representation(Window(m, max_n)).all_factors_nontrivial:
+            raise InternalContradiction(f"trivial part on an H({max_n})-free window at m={m}")
     return SmallWindowReport(
         m_max=m_max,
         max_n=max_n,
         windows_checked=checked,
-        failures=failures,
+        failures=[(c.m, c.n) for c in scan_counterexamples((1, m_max), (2, max_n))],
         fallback_windows=fallback,
     )
 
@@ -242,7 +229,7 @@ def _find_prime(lo: int, hi: int, lo_open: bool, hi_open: bool) -> IntervalProbe
     # Sieving primes below the interval length: each strikes at least one
     # value, and deeper ones cost more mods than the tests they would save
     # at the sizes these probes reach.
-    prime = first_prime(start, count, 1, range(count), depth=count)
+    prime = first_prime(start, count, range(count), depth=count)
     return IntervalProbe(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open, prime=prime)
 
 

@@ -41,10 +41,7 @@ class PrimePool:
 
     @property
     def product(self) -> int:
-        out = 1
-        for p in self.primes:
-            out *= p
-        return out
+        return math.prod(self.primes)
 
 
 @dataclass(frozen=True)
@@ -145,19 +142,16 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
     return PrimePool(primes=tuple(found))
 
 
-def _strike(start: int, count: int, step: int, primes) -> bytearray:
-    """alive[i] = 0 exactly when start + i*step is a multiple of one of the
-    given primes other than the prime itself (step is 1, or 2 with start
-    odd and the primes odd)."""
+def _strike(start: int, count: int, primes) -> bytearray:
+    """alive[i] = 0 exactly when start + i is a multiple of one of the given
+    primes other than the prime itself."""
     alive = bytearray(b"\x01") * count
-    neg = -start
     for p in primes:
-        # start + i*step = 0 (mod p); the inverse of 2 mod odd p is (p+1)/2
-        i = neg % p * ((p + 1) // 2 if step == 2 else 1) % p
+        i = -start % p
         if i < count:
             alive[i::p] = bytes(len(range(i, count, p)))
-            if start <= p < start + count * step:
-                alive[(p - start) // step] = 1
+            if start <= p < start + count:
+                alive[p - start] = 1
     return alive
 
 
@@ -166,37 +160,32 @@ def band_primes(lo: int, hi: int) -> list[int]:
     by every prime up to sqrt(hi - 1)."""
     root = math.isqrt(hi - 1)
     primes = default_sieve(root).primes
-    alive = _strike(lo, hi - lo, 1, islice(primes, bisect.bisect_right(primes, root)))
+    alive = _strike(lo, hi - lo, islice(primes, bisect.bisect_right(primes, root)))
     return list(compress(range(lo, hi), alive))
 
 
 def first_prime(
     start: int,
     count: int,
-    step: int,
     order,
     depth: int,
     rounds: int = DEFAULT_MR_ROUNDS,
     seed: int = 0,
 ) -> int | None:
-    """The first probable prime among the values start + i*step, 0 <= i < count,
-    taken in the index order `order`; None when there is none.
+    """The first probable prime among start + i, taken over the indices
+    0 <= i < count in the order `order` (which may skip some); None when
+    there is none.
 
-    step is 1, or 2 with start odd.  The progression is sieved once before
-    any test: every prime p below depth that can divide its values (odd p
-    when step is 2) costs one start mod p and strikes its multiples other
-    than p itself, all of which are composite or below 2.  Only unstruck
-    values >= 2 reach probable_prime, so the answer is that of testing every
-    value in order.
+    The interval is sieved once before any test: every prime p below depth
+    costs one start mod p and strikes its multiples other than p itself,
+    all of which are composite or below 2.  Only unstruck values >= 2 reach
+    probable_prime, so the answer is that of testing each visited value in
+    order.
     """
-    if step not in (1, 2) or step == 2 and start % 2 == 0:
-        raise ValueError("step must be 1, or 2 with an odd start")
     primes = default_sieve().primes
-    # primes[0] = 2 sieves only the unit step
-    sieving = islice(primes, step - 1, bisect.bisect_left(primes, depth))
-    alive = _strike(start, count, step, sieving)
+    alive = _strike(start, count, islice(primes, bisect.bisect_left(primes, depth)))
     for i in order:
-        x = start + i * step
+        x = start + i
         if x >= 2 and alive[i] and probable_prime(x, rounds, seed):
             return x
     return None
@@ -209,31 +198,25 @@ def sweep(
 
     k must be odd (pools containing 2 make the even offsets pointless).
     Returns the first prime in that fixed order; an empty sweep is flagged
-    as a Conjecture 2 violation for n = 2*floor(p1/2) + 1.  The interval is
-    sieved by the odd primes of the shared sieve first: a 2048-bit
-    candidate costs a modular power per test, a sieving prime one k mod p.
+    as a Conjecture 2 violation for n = 2*floor(p1/2) + 1.  The interval
+    [k - 2h, k + 2h], h = floor(p1/2), is sieved by the primes of the shared
+    sieve first, and only its even offsets are visited (2 strikes only the
+    odd ones): a 2048-bit candidate costs a modular power per test, a
+    sieving prime one k mod p.
     """
     if k % 2 == 0:
         raise ValueError("k must be odd")
     half = p1 // 2
-    order = (half + sign * j for j in range(1, half + 1) for sign in (1, -1))
+    order = (2 * (half + sign * j) for j in range(1, half + 1) for sign in (1, -1))
     prime = first_prime(
-        k - 2 * half, 2 * half + 1, 2, order, DEFAULT_SIEVE_LIMIT, mr_rounds, seed
+        k - 2 * half, 4 * half + 1, order, DEFAULT_SIEVE_LIMIT, mr_rounds, seed
     )
-    if prime is not None:
-        return GenerationResult(
-            k=k,
-            offset=prime - k,
-            prime=prime,
-            bit_length=prime.bit_length(),
-            conjecture2_violation=False,
-        )
     return GenerationResult(
         k=k,
-        offset=None,
-        prime=None,
-        bit_length=k.bit_length(),
-        conjecture2_violation=True,
+        offset=None if prime is None else prime - k,
+        prime=prime,
+        bit_length=(k if prime is None else prime).bit_length(),
+        conjecture2_violation=prime is None,
     )
 
 

@@ -172,6 +172,26 @@ def test_usage_error_exit_code(capsys):
     assert exc.value.code == EXIT_ERROR
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify", "--limit", "1000", "--workers", "0", "--format", "json"),
+     "argument --workers: must be >= 1, got 0"),
+    (("scan", "--m-max", "100", "--n-max", "8", "--workers", "-2"),
+     "argument --workers: must be >= 1, got -2"),
+    (("conjecture2", "--part", "i", "--n-max", "40", "--budget", "-1"),
+     "argument --budget: must be >= 1, got -1"),
+    (("conjecture2", "--part", "ii", "--n-max", "12", "--budget", "0"),
+     "argument --budget: must be >= 1, got 0"),
+    (("verify", "--workers", "two"), "argument --workers: invalid int value: 'two'"),
+])
+def test_count_flags_reject_counts_below_one(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

@@ -16,7 +16,7 @@ from grimm.conjectures import (
     verify_grimm_range,
     verify_small_windows,
 )
-from oracles import naive_is_prime
+from oracles import brute_hn, exact_representation_feasible, naive_is_prime
 
 # Maximal runs of >= 7 consecutive composites contained in [2, 427],
 # derived from the prime gaps; fifteen in total.
@@ -121,6 +121,30 @@ def test_small_windows_full_check():
     assert report.windows_checked == 826
     # exactly two length-7 windows intersect H(7): one at 140, one at 210
     assert report.fallback_windows == [(139, (140,)), (203, (210,))]
+
+
+@pytest.mark.parametrize("m_max", [1, 2, 5, 150, 1000])
+@pytest.mark.parametrize("max_n", [1, 2, 3, 7, 12])
+def test_small_windows_match_oracle(m_max, max_n):
+    def all_composite(m, n):
+        return not any(naive_is_prime(x) for x in range(m + 1, m + n + 1))
+
+    windows = [
+        (m, n)
+        for m in range(1, m_max + 1)
+        for n in range(2, max_n + 1)
+        if all_composite(m, n)
+    ]
+    hn = set(brute_hn(max_n, m_max + max_n))
+    fallback = []
+    for m in range(1, m_max + 1):
+        inside = tuple(x for x in range(m + 1, m + max_n + 1) if x in hn)
+        if inside and all_composite(m, max_n):
+            fallback.append((m, inside))
+    report = verify_small_windows(m_max, max_n)
+    assert report.failures == [w for w in windows if not exact_representation_feasible(*w)]
+    assert report.windows_checked == len(windows)
+    assert report.fallback_windows == fallback
 
 
 def test_conjecture1_fixtures():

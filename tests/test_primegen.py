@@ -182,14 +182,7 @@ def test_sieved_sweep_matches_naive(half_k, p1):
 @given(st.integers(-60, 3_000), st.integers(0, 200), st.integers(0, 400))
 def test_first_prime_unit_step_matches_naive(start, count, depth):
     want = next((x for x in range(start, start + count) if naive_is_prime(x)), None)
-    assert first_prime(start, count, 1, range(count), depth) == want
-
-
-def test_first_prime_rejects_unsupported_progressions():
-    with pytest.raises(ValueError):
-        first_prime(9, 5, 3, range(5), 100)
-    with pytest.raises(ValueError):
-        first_prime(8, 5, 2, range(5), 100)
+    assert first_prime(start, count, range(count), depth) == want
 
 
 def test_band_past_the_shared_sieve_under_default_recursion_limit():
