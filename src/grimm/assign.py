@@ -24,7 +24,14 @@ import operator
 from dataclasses import dataclass
 from itertools import accumulate
 
-from .arith import Window, all_prime, default_sieve, largest_prime_powers, prime_divisors
+from .arith import (
+    Window,
+    all_prime,
+    default_sieve,
+    largest_prime_factors,
+    largest_prime_powers,
+    prime_divisors,
+)
 from .coprime import (
     CanonicalRow,
     CoprimeRepresentation,
@@ -69,20 +76,21 @@ class RepresentationDecision:
         return self.feasible
 
 
-def _settle_grimm(w: Window) -> GrimmAssignment | int:
+def _settle_grimm(w: Window, tops: list[int]) -> GrimmAssignment | int:
     """The checked assignment for the window, or the index it is stuck at.
 
-    A prime p >= n divides at most one of n consecutive integers, so an
-    element whose largest prime factor is >= n takes that prime.  The
-    n-smooth rest can only use primes below n; each gets one augmenting
-    search in index order, and the first that fails is the stuck index.
-    The result is checked apart from how it was built.
+    tops holds P(m+1) .. P(m+n), the largest prime factor of each element
+    (see largest_prime_factors).  A prime p >= n divides at most one of n
+    consecutive integers, so an element whose largest prime factor is >= n
+    takes that prime.  Only the n-smooth rest is walked for its primes, all
+    below n; each gets one augmenting search in index order, and the first
+    that fails is the stuck index.  The result is checked apart from how it
+    was built.
     """
     if w.m < 1:
         raise ValueError("window base must be >= 1")
-    divisors = list(map(prime_divisors, w.values()))
-    primes = [ps[-1] for ps in divisors]
-    residual = {i: ps for i, ps in enumerate(divisors, 1) if ps[-1] < w.n}
+    primes = list(tops)
+    residual = {i: prime_divisors(w.m + i) for i, top in enumerate(tops, 1) if top < w.n}
     pair_r: dict[int, int] = {}
     for i in residual:
         if not augment(residual, pair_r, i):
@@ -97,7 +105,7 @@ def _settle_grimm(w: Window) -> GrimmAssignment | int:
 
 def grimm_assignment(w: Window) -> GrimmAssignment | None:
     """A distinct-prime assignment for the window, or None if none exists."""
-    settled = _settle_grimm(w)
+    settled = _settle_grimm(w, largest_prime_factors(w.m + 1, w.last))
     return None if isinstance(settled, int) else settled
 
 

@@ -58,7 +58,8 @@ def _int(flag: str, default=None, required: bool = False):
 
 
 def _count(text: str) -> int:
-    """The value of a count option (--workers, --budget): an integer >= 1."""
+    """The value of an option that must be an integer >= 1 (--workers,
+    --budget, --m-max and --max-n of verify-small)."""
     try:
         value = int(text)
     except ValueError:
@@ -224,7 +225,8 @@ def _hn(args):
 
 
 @_subcommand("verify-small", "exhaustive short-window check below the threshold",
-             _int("--m-max", 420), _int("--max-n", 7), csv=_rows("failures", ("m", "n")))
+             ("--m-max", {"type": _count, "default": 420}),
+             ("--max-n", {"type": _count, "default": 7}), csv=_rows("failures", ("m", "n")))
 def _verify_small(args):
     rep = verify_small_windows(args.m_max, args.max_n)
     findings = [{"m": m, "n": n} for m, n in rep.failures]

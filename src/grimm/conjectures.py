@@ -21,13 +21,14 @@ reach of even squared-log prime gaps.
 
 from __future__ import annotations
 
+import bisect
 import itertools
 import math
 import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import Window, default_sieve, is_prime, largest_prime_powers
+from .arith import Window, default_sieve, is_prime, largest_prime_factors, largest_prime_powers
 from .assign import (
     RepresentationDecision,
     _settle_grimm,
@@ -97,10 +98,19 @@ class VerificationReport:
         return not self.failures
 
 
+# A verify block holds at most this many runs and spans at most this many
+# integers, so the P(x) column it builds stays small whatever --min-len is.
+BLOCK_RUNS = 4096
+BLOCK_SPAN = 1 << 16
+
+
 def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
+    lo = windows[0][0] + 1
+    tops = largest_prime_factors(lo, sum(windows[-1]))
     out = []
     for m, n in windows:
-        stuck = _settle_grimm(Window(m, n))
+        k = m + 1 - lo
+        stuck = _settle_grimm(Window(m, n), tops[k : k + n])
         if isinstance(stuck, int):
             out.append(
                 GrimmFailure(m=m, n=n, reason=f"no distinct prime for {m + stuck}")
@@ -115,14 +125,26 @@ def verify_grimm_range(
     within the limit.
 
     An assignment for a maximal run restricts to every sub-window, so runs
-    are the only windows that need checking.  Chunk sizes are fixed, making
-    the report content independent of the worker count.
+    are the only windows that need checking.  The runs are cut into blocks
+    of at most BLOCK_RUNS runs spanning at most BLOCK_SPAN integers; each
+    block builds one largest-prime-factor column over its span, from which
+    every run takes the primes the structural rule settles, and only the
+    n-smooth elements are walked for their prime divisors.  The blocks do
+    not depend on the worker count, and neither does the report content.
     """
     t0 = time.monotonic()
     runs = enumerate_composite_runs(limit, min_len)
     windows = [(r.start - 1, r.length) for r in runs]
-    chunk = 4096
-    blocks = [windows[i : i + chunk] for i in range(0, len(windows), chunk)]
+    blocks = []
+    i = 0
+    while i < len(windows):
+        # Run i starts a block; it ends before the first run that reaches
+        # past BLOCK_SPAN integers from its start (m + n is a run's last
+        # element), or after BLOCK_RUNS runs.
+        hi = min(i + BLOCK_RUNS, len(windows))
+        j = bisect.bisect_right(windows, windows[i][0] + BLOCK_SPAN, i + 1, hi, key=sum)
+        blocks.append(windows[i:j])
+        i = j
     return VerificationReport(
         range_limit=limit,
         windows_checked=len(windows),
@@ -155,10 +177,12 @@ class SmallWindowReport:
 
 def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
     """The failures are those of scan_counterexamples on m <= m_max, 2 <= n <= max_n."""
+    if m_max < 1 or max_n < 1:
+        raise ValueError(f"need m_max >= 1 and max_n >= 1, got m_max={m_max}, max_n={max_n}")
     sieve = default_sieve(m_max + max_n + 1)
     # An element of an all-composite window lies in H(max_n) iff its
     # largest prime power is <= max_n.
-    tops = largest_prime_powers(1, max(m_max + max_n, 0))
+    tops = largest_prime_powers(1, m_max + max_n)
     checked = 0
     fallback = []
     for m in range(1, m_max + 1):

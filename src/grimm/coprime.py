@@ -9,6 +9,7 @@ enforces that stronger form.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
@@ -23,6 +24,11 @@ from .arith import (
     representation_threshold,
 )
 from .smooth import in_hn
+
+# The factorizations of the widths 1, 2, ...: every row divides by the same
+# ones, so each is factored once per process.  The cached maps are shared
+# and only ever read.
+_width_factors = functools.cache(factorize)
 
 
 @dataclass(frozen=True)
@@ -47,7 +53,8 @@ class CanonicalRow:
     """The canonical representations of C(m+n, n) for n = 1, 2, ..., one
     window element at a time.
 
-    Each step factors the new element m+n once and moves the exponents by
+    Each step factors the new element m+n once, takes the width n's
+    factorization from a per-process table, and moves the exponents by
     the ratio C(m+n, n) / C(m+n-1, n-1) = (m+n) / n:
     e_p(m, n) = e_p(m, n-1) + v_p(m+n) - v_p(n).  Per prime it keeps the
     largest valuation in the window and the smallest index attaining it,
@@ -79,7 +86,7 @@ class CanonicalRow:
                 self._at[p] = n
         # Every prime of n is at most n, so it divides a window element
         # and already has an entry.
-        for p, v in factorize(n).items():
+        for p, v in _width_factors(n).items():
             exps[p] -= v
         self.n = n
 

@@ -14,6 +14,7 @@ from grimm.arith import (
     default_sieve,
     factorize,
     is_prime,
+    largest_prime_factors,
     largest_prime_powers,
     prime_count,
     prime_divisors,
@@ -344,6 +345,24 @@ def test_largest_prime_powers_match_naive():
         largest_prime_powers(0, 5)
     with pytest.raises(ValueError):
         largest_prime_powers(5, 3)
+
+
+def test_largest_prime_factors_match_naive():
+    limit = default_sieve().limit
+    assert largest_prime_factors(1, 12) == [1, 2, 3, 2, 5, 3, 7, 2, 3, 5, 11, 3]
+    naive = [max(naive_factorize(x), default=1) for x in range(1, 5001)]
+    assert largest_prime_factors(1, 5000) == naive
+    # a segment straddling sqrt(hi) = 70, one near the sieve limit, one
+    # ending at it, an empty one, and factorize beyond the sieve
+    for lo, hi in ((60, 4900), (987654, 999999), (limit - 40, limit), (limit - 5, limit + 40)):
+        got = largest_prime_factors(lo, hi)
+        assert got == [max(naive_factorize(x)) for x in range(lo, hi + 1)], lo
+    assert largest_prime_factors(5, 4) == []
+    assert largest_prime_factors(999_983 * 1_000_003, 999_983 * 1_000_003) == [1_000_003]
+    with pytest.raises(ValueError):
+        largest_prime_factors(0, 5)
+    with pytest.raises(ValueError):
+        largest_prime_factors(5, 3)
 
 
 def test_prime_power_witness_check_catches_corruption(monkeypatch):

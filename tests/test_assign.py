@@ -59,11 +59,16 @@ def test_grimm_runtime_check_catches_defects(monkeypatch):
         patch.setattr(grimm.assign, "prime_divisors", lambda x: [x])
         with pytest.raises(InternalContradiction):
             grimm_assignment(Window(7, 3))
-    # One that reports a prime not dividing its element.
+    # A largest-prime-factor column that reports a prime not dividing its
+    # element.
     with monkeypatch.context() as patch:
-        patch.setattr(grimm.assign, "prime_divisors", lambda x: [x + 1])
+        patch.setattr(grimm.assign, "largest_prime_factors", shifted_column)
         with pytest.raises(InternalContradiction):
             grimm_assignment(Window(5, 2))  # 6, 7 -> 7, 8
+
+
+def shifted_column(lo, hi):
+    return [x + 1 for x in range(lo, hi + 1)]
 
 
 def test_grimm_matches_oracle_sampled():

@@ -192,6 +192,19 @@ def test_count_flags_reject_counts_below_one(capsys, argv, message):
     assert message in err
 
 
+@pytest.mark.parametrize("argv, message", [
+    (("verify-small", "--m-max", "5", "--max-n", "0"), "argument --max-n: must be >= 1, got 0"),
+    (("verify-small", "--m-max", "-3"), "argument --m-max: must be >= 1, got -3"),
+])
+def test_verify_small_names_its_bounds(capsys, argv, message):
+    with pytest.raises(SystemExit) as exc:
+        run(list(argv))
+    assert exc.value.code == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert message in err
+
+
 def test_byte_identical_reports(tmp_path, capsys):
     paths = [tmp_path / "a.json", tmp_path / "b.json"]
     for path in paths:

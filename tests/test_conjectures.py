@@ -2,9 +2,11 @@ import math
 
 import pytest
 
-from grimm.arith import Window
-from grimm.assign import exact_representation_exists
+import grimm.conjectures
+from grimm.arith import InternalContradiction, Window, largest_prime_factors
+from grimm.assign import exact_representation_exists, grimm_assignment
 from grimm.conjectures import (
+    BLOCK_SPAN,
     CompositeRun,
     _grimm_chunk,
     conjecture1_probe,
@@ -16,7 +18,7 @@ from grimm.conjectures import (
     verify_grimm_range,
     verify_small_windows,
 )
-from oracles import brute_hn, exact_representation_feasible, naive_is_prime
+from oracles import brute_hn, exact_representation_feasible, grimm_feasible, naive_is_prime
 
 # Maximal runs of >= 7 consecutive composites contained in [2, 427],
 # derived from the prime gaps; fifteen in total.
@@ -107,12 +109,53 @@ def test_grimm_chunk_names_stuck_element():
     assert f.reason == "no distinct prime for 4"
 
 
+def test_grimm_chunk_checks_the_column(monkeypatch):
+    # A column that reports a prime not dividing its element: 6, 7 -> 7, 8.
+    monkeypatch.setattr(
+        grimm.conjectures, "largest_prime_factors", lambda lo, hi: list(range(lo + 1, hi + 2))
+    )
+    with pytest.raises(InternalContradiction):
+        _grimm_chunk([(5, 2)])
+
+
+@pytest.mark.parametrize("min_len", [1, 7])
+def test_grimm_chunk_matches_oracle_on_runs(min_len):
+    windows = [(r.start - 1, r.length) for r in enumerate_composite_runs(2 * 10**4, min_len)]
+    failures = [(f.m, f.n) for f in _grimm_chunk(windows)]
+    assert failures == [(m, n) for m, n in windows if not grimm_feasible(m, n)]
+
+
+def test_verify_blocks_bound_their_columns(monkeypatch):
+    spans = []
+
+    def recording(lo, hi):
+        spans.append(hi - lo + 1)
+        return largest_prime_factors(lo, hi)
+
+    monkeypatch.setattr(grimm.conjectures, "largest_prime_factors", recording)
+    report = verify_grimm_range(10**5, min_len=30)
+    windows = [(r.start - 1, r.length) for r in enumerate_composite_runs(10**5, 30)]
+    assert report.windows_checked == len(windows)
+    assert [(f.m, f.n) for f in report.failures] == [
+        (m, n) for m, n in windows if grimm_assignment(Window(m, n)) is None
+    ]
+    # Sparse runs: the count cap alone would put all of them in one block.
+    assert len(windows) < 4096 and len(spans) >= 2
+    assert max(spans) <= BLOCK_SPAN == 1 << 16
+
+
 def test_verify_grimm_worker_independence():
     solo = verify_grimm_range(10**5, workers=1)
     duo = verify_grimm_range(10**5, workers=2)
     assert solo.ok and duo.ok
     assert solo.windows_checked == duo.windows_checked
     assert solo.failures == duo.failures
+
+
+def test_small_windows_reject_empty_bounds():
+    for m_max, max_n in ((5, 0), (-3, 5), (0, 7)):
+        with pytest.raises(ValueError, match="need m_max >= 1 and max_n >= 1"):
+            verify_small_windows(m_max, max_n)
 
 
 def test_small_windows_full_check():
