@@ -76,19 +76,23 @@ class RepresentationDecision:
         return self.feasible
 
 
+def _check_column(lo: int, tops: list[int]) -> None:
+    """Raise InternalContradiction unless each tops[k] is a prime dividing lo + k."""
+    if any(map(operator.mod, range(lo, lo + len(tops)), tops)) or not all_prime(tops):
+        raise InternalContradiction(f"bad largest-prime-factor column from {lo}")
+
+
 def _settle_grimm(w: Window, tops: list[int]) -> GrimmAssignment | int:
     """The checked assignment for the window, or the index it is stuck at.
 
-    tops holds P(m+1) .. P(m+n), the largest prime factor of each element
-    (see largest_prime_factors).  A prime p >= n divides at most one of n
+    tops holds P(m+1) .. P(m+n), the largest prime factor of each element,
+    as checked by _check_column.  A prime p >= n divides at most one of n
     consecutive integers, so an element whose largest prime factor is >= n
     takes that prime.  Only the n-smooth rest is walked for its primes, all
     below n; each gets one augmenting search in index order, and the first
-    that fails is the stuck index.  The result is checked apart from how it
-    was built.
+    that fails is the stuck index.  The assignment is checked apart from how
+    it was built: each prime divides its element, is prime, and is distinct.
     """
-    if w.m < 1:
-        raise ValueError("window base must be >= 1")
     primes = list(tops)
     residual = {i: prime_divisors(w.m + i) for i, top in enumerate(tops, 1) if top < w.n}
     pair_r: dict[int, int] = {}
@@ -105,7 +109,11 @@ def _settle_grimm(w: Window, tops: list[int]) -> GrimmAssignment | int:
 
 def grimm_assignment(w: Window) -> GrimmAssignment | None:
     """A distinct-prime assignment for the window, or None if none exists."""
-    settled = _settle_grimm(w, largest_prime_factors(w.m + 1, w.last))
+    if w.m < 1:
+        raise ValueError("window base must be >= 1")
+    tops = largest_prime_factors(w.m + 1, w.last)
+    _check_column(w.m + 1, tops)
+    settled = _settle_grimm(w, tops)
     return None if isinstance(settled, int) else settled
 
 

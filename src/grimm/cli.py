@@ -59,7 +59,7 @@ def _int(flag: str, default=None, required: bool = False):
 
 def _count(text: str) -> int:
     """The value of an option that must be an integer >= 1 (--workers,
-    --budget, --m-max and --max-n of verify-small)."""
+    --budget, --min-len, and --m-max and --max-n of verify-small)."""
     try:
         value = int(text)
     except ValueError:
@@ -127,7 +127,7 @@ def _rows(key: str, cols: tuple[str, ...]):
 
 
 @_subcommand("verify", "distinct-prime assignment on every composite run",
-             _int("--limit", 10**6), _int("--min-len", 1),
+             _int("--limit", 10**6), ("--min-len", {"type": _count, "default": 1}),
              csv=_rows("failures", ("m", "n", "reason")))
 def _verify(args):
     report = verify_grimm_range(args.limit, args.min_len, args.workers)
@@ -143,7 +143,7 @@ def _verify(args):
 
 
 @_subcommand("runs", "maximal composite runs within a limit",
-             _int("--limit", required=True), _int("--min-len", 1),
+             _int("--limit", required=True), ("--min-len", {"type": _count, "default": 1}),
              csv=_rows("runs", ("start", "length", "end")))
 def _runs(args):
     runs = enumerate_composite_runs(args.limit, args.min_len)

@@ -31,6 +31,7 @@ from dataclasses import dataclass, field
 from .arith import Window, default_sieve, is_prime, largest_prime_factors, largest_prime_powers
 from .assign import (
     RepresentationDecision,
+    _check_column,
     _settle_grimm,
     exact_representation_exists,
     map_blocks,
@@ -54,26 +55,22 @@ class CompositeRun:
         return self.start + self.length - 1
 
 
+def _composite_gaps(limit: int, min_len: int) -> list[tuple[int, int]]:
+    """(m, n) for each maximal run m+1 .. m+n of n >= min_len composites within [2, limit]."""
+    if min_len < 1:
+        raise ValueError("min_len must be >= 1")
+    ps = default_sieve(limit + 1).primes
+    ends = itertools.islice(ps, 1, bisect.bisect_right(ps, limit + 1))
+    return [(p, q - p - 1) for p, q in zip(ps, ends) if q - p > min_len]
+
+
 def enumerate_composite_runs(limit: int, min_len: int = 1) -> list[CompositeRun]:
     """Maximal composite runs whose elements all lie within [2, limit].
 
     Maximality at the right edge is decided by looking one past the limit,
     so a run ending exactly at `limit` is included when limit+1 is prime.
     """
-    if min_len < 1:
-        raise ValueError("min_len must be >= 1")
-    sieve = default_sieve(limit + 1)
-    out = []
-    prev = None
-    for p in sieve.primes:
-        if p > limit + 1:
-            break
-        if prev is not None:
-            length = p - prev - 1
-            if length >= min_len and prev + length <= limit:
-                out.append(CompositeRun(start=prev + 1, length=length))
-        prev = p
-    return out
+    return [CompositeRun(start=m + 1, length=n) for m, n in _composite_gaps(limit, min_len)]
 
 
 @dataclass
@@ -105,16 +102,17 @@ BLOCK_SPAN = 1 << 16
 
 
 def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
-    lo = windows[0][0] + 1
-    tops = largest_prime_factors(lo, sum(windows[-1]))
+    m0 = windows[0][0]
+    tops = largest_prime_factors(m0 + 1, sum(windows[-1]))
+    _check_column(m0 + 1, tops)
     out = []
     for m, n in windows:
-        k = m + 1 - lo
-        stuck = _settle_grimm(Window(m, n), tops[k : k + n])
+        col = tops[m - m0 : m - m0 + n]
+        if min(col) >= n and len(set(col)) == n:
+            continue
+        stuck = _settle_grimm(Window(m, n), col)
         if isinstance(stuck, int):
-            out.append(
-                GrimmFailure(m=m, n=n, reason=f"no distinct prime for {m + stuck}")
-            )
+            out.append(GrimmFailure(m=m, n=n, reason=f"no distinct prime for {m + stuck}"))
     return out
 
 
@@ -127,14 +125,14 @@ def verify_grimm_range(
     An assignment for a maximal run restricts to every sub-window, so runs
     are the only windows that need checking.  The runs are cut into blocks
     of at most BLOCK_RUNS runs spanning at most BLOCK_SPAN integers; each
-    block builds one largest-prime-factor column over its span, from which
-    every run takes the primes the structural rule settles, and only the
-    n-smooth elements are walked for their prime divisors.  The blocks do
-    not depend on the worker count, and neither does the report content.
+    block builds and checks one largest-prime-factor column over its span.
+    A run whose entries are all >= n is settled by n distinct entries (a
+    prime p >= n divides at most one of n elements); a run with an n-smooth
+    element goes to _settle_grimm.  The blocks do not depend on the worker
+    count, and neither does the report content.
     """
     t0 = time.monotonic()
-    runs = enumerate_composite_runs(limit, min_len)
-    windows = [(r.start - 1, r.length) for r in runs]
+    windows = _composite_gaps(limit, min_len)
     blocks = []
     i = 0
     while i < len(windows):

@@ -182,6 +182,8 @@ def test_usage_error_exit_code(capsys):
     (("conjecture2", "--part", "ii", "--n-max", "12", "--budget", "0"),
      "argument --budget: must be >= 1, got 0"),
     (("verify", "--workers", "two"), "argument --workers: invalid int value: 'two'"),
+    (("verify", "--limit", "1000", "--min-len", "0"), "argument --min-len: must be >= 1, got 0"),
+    (("runs", "--limit", "100", "--min-len", "-1"), "argument --min-len: must be >= 1, got -1"),
 ])
 def test_count_flags_reject_counts_below_one(capsys, argv, message):
     with pytest.raises(SystemExit) as exc:

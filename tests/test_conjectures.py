@@ -1,13 +1,16 @@
 import math
+import multiprocessing
 
 import pytest
 
+import grimm.assign
 import grimm.conjectures
 from grimm.arith import InternalContradiction, Window, largest_prime_factors
-from grimm.assign import exact_representation_exists, grimm_assignment
+from grimm.assign import exact_representation_exists, grimm_assignment, map_blocks
 from grimm.conjectures import (
     BLOCK_SPAN,
     CompositeRun,
+    _composite_gaps,
     _grimm_chunk,
     conjecture1_probe,
     conjecture2_i,
@@ -18,7 +21,13 @@ from grimm.conjectures import (
     verify_grimm_range,
     verify_small_windows,
 )
-from oracles import brute_hn, exact_representation_feasible, grimm_feasible, naive_is_prime
+from oracles import (
+    brute_hn,
+    exact_representation_feasible,
+    grimm_feasible,
+    naive_factorize,
+    naive_is_prime,
+)
 
 # Maximal runs of >= 7 consecutive composites contained in [2, 427],
 # derived from the prime gaps; fifteen in total.
@@ -84,6 +93,25 @@ def test_runs_exhaustive_against_scan():
     assert got == expected
 
 
+def test_composite_gaps_match_a_naive_walk():
+    # 3001 is prime, so at limit 3000 the last run ends on the limit.
+    prime = [naive_is_prime(x) for x in range(3002)]
+    assert prime[3001]
+    for limit in range(3001):
+        walked = []
+        last = None  # the last prime seen; a run closes at the next one
+        for x in range(2, limit + 2):
+            if prime[x]:
+                if last is not None and x - last > 1:
+                    walked.append((last, x - last - 1))
+                last = x
+        for min_len in range(1, 11):
+            expected = [(m, n) for m, n in walked if n >= min_len]
+            assert _composite_gaps(limit, min_len) == expected, (limit, min_len)
+    with pytest.raises(ValueError):
+        _composite_gaps(100, 0)
+
+
 def test_verify_grimm_small_ranges():
     report = verify_grimm_range(4)
     assert report.windows_checked == 1 and report.ok
@@ -118,6 +146,65 @@ def test_grimm_chunk_checks_the_column(monkeypatch):
         _grimm_chunk([(5, 2)])
 
 
+def column_with(entries):
+    """largest_prime_factors with some entries replaced, by element."""
+
+    def column(lo, hi):
+        return [entries.get(x, top) for x, top in enumerate(largest_prime_factors(lo, hi), lo)]
+
+    return column
+
+
+@pytest.mark.parametrize("window, entries", [
+    # 8, 9, 10 with P(8) reported as 4: it divides 8, and 4, 3, 5 are
+    # distinct and all >= n = 3, but 4 is not prime.
+    ((7, 3), {8: 4}),
+    # 20, 21, 22 with P(21) reported as 13: 5, 13, 11 are distinct primes
+    # >= 3, but 13 does not divide 21.
+    ((19, 3), {21: 13}),
+])
+def test_column_entries_must_be_primes_dividing_their_elements(monkeypatch, window, entries):
+    with monkeypatch.context() as patch:
+        patch.setattr(grimm.conjectures, "largest_prime_factors", column_with(entries))
+        with pytest.raises(InternalContradiction):
+            _grimm_chunk([window])
+    with monkeypatch.context() as patch:
+        patch.setattr(grimm.assign, "largest_prime_factors", column_with(entries))
+        with pytest.raises(InternalContradiction):
+            grimm_assignment(Window(*window))
+
+
+def test_grimm_chunk_rejects_a_short_column(monkeypatch):
+    # 20, 21, 22 have P = 5, 7, 11, all >= 3; a column one entry short
+    # leaves the run two primes for three elements.
+    def short(lo, hi):
+        return largest_prime_factors(lo, hi)[:-1]
+
+    monkeypatch.setattr(grimm.conjectures, "largest_prime_factors", short)
+    with pytest.raises(InternalContradiction):
+        _grimm_chunk([(19, 3)])
+
+
+def test_only_smooth_runs_reach_the_settle_walk(monkeypatch):
+    # A run goes to _settle_grimm iff it holds an element whose largest
+    # prime factor is below n; every other run is settled from its column.
+    walked = []
+
+    def recording(w, tops):
+        walked.append((w.m, w.n))
+        return grimm.assign._settle_grimm(w, tops)
+
+    monkeypatch.setattr(grimm.conjectures, "_settle_grimm", recording)
+    windows = _composite_gaps(2 * 10**4, 1)
+    assert _grimm_chunk(windows) == []
+
+    def smooth_element(m, n):
+        return any(max(naive_factorize(x)) < n for x in range(m + 1, m + n + 1))
+
+    assert walked == [(m, n) for m, n in windows if smooth_element(m, n)]
+    assert 0 < len(walked) < len(windows) // 2
+
+
 @pytest.mark.parametrize("min_len", [1, 7])
 def test_grimm_chunk_matches_oracle_on_runs(min_len):
     windows = [(r.start - 1, r.length) for r in enumerate_composite_runs(2 * 10**4, min_len)]
@@ -150,6 +237,28 @@ def test_verify_grimm_worker_independence():
     assert solo.ok and duo.ok
     assert solo.windows_checked == duo.windows_checked
     assert solo.failures == duo.failures
+
+
+def test_verify_blocks_under_spawn(monkeypatch):
+    # Spawned workers start from a fresh import: each block builds its own
+    # sieve and column, and nothing comes from an inherited global.
+    blocks = []
+    with monkeypatch.context() as patch:
+        patch.setattr(
+            grimm.conjectures,
+            "map_blocks",
+            lambda fn, bs, workers: blocks.extend(bs) or map_blocks(fn, bs, workers),
+        )
+        solo = verify_grimm_range(2 * 10**5)
+    assert len(blocks) >= 2
+    blocks.append([(1, 3)])  # 2, 3, 4: stuck at 4
+    with multiprocessing.get_context("spawn").Pool(2) as pool:
+        spawned = pool.map_async(_grimm_chunk, blocks).get(timeout=120)
+    assert spawned == [_grimm_chunk(b) for b in blocks]
+    assert sum(spawned[:-1], []) == solo.failures
+    assert [f.reason for f in spawned[-1]] == ["no distinct prime for 4"]
+    duo = verify_grimm_range(2 * 10**5, workers=2)
+    assert (duo.failures, duo.windows_checked) == (solo.failures, solo.windows_checked)
 
 
 def test_small_windows_reject_empty_bounds():
