@@ -8,7 +8,9 @@ merges).  Wall-clock timing is therefore left out of reports unless
 Exit status: 0 clean, 1 completed with findings (counterexamples or
 conjecture violations -- still a successful run), 2 usage or guard error,
 3 internal error (a failed runtime check, or memory or recursion depth
-exhausted), reported as one JSON line on stderr.
+exhausted), reported as one JSON line on stderr.  Reports are written a
+part at a time: a run that fails while writing removes its partial
+--output file, and leaves a partial report on stdout only with exit 3.
 """
 
 from __future__ import annotations
@@ -16,13 +18,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import math
 import os
+import stat
 import sys
 import time
 from typing import Callable
 
 from . import __version__
-from .arith import Window
+from .arith import InternalContradiction, Window
 from .assign import exact_representation_exists, g_of_m, scan_counterexamples, w_of_m
 from .conjectures import (
     cramer_gap_scan,
@@ -214,13 +218,18 @@ def _scan(args):
 
 @_subcommand("hn", "the set H(n) of bounded-prime-power composites",
              _int("--n", required=True), ("--count-only", {"action": "store_true"}),
-             csv=(("element",), lambda p: [  # one joined block per _JSON_BLOCK members
+             csv=(("element",), lambda p: (  # one joined block per _JSON_BLOCK members
                  "\n".join(map(str, p["elements"][i : i + _JSON_BLOCK]))
-                 for i in range(0, len(p.get("elements", ())), _JSON_BLOCK)]))
+                 for i in range(0, len(p.get("elements", ())), _JSON_BLOCK))))
 def _hn(args):
     payload = {"n": args.n, "cardinality": hn_cardinality(args.n)}
     if not args.count_only:
-        payload["elements"] = enumerate_hn(args.n).elements
+        elements = enumerate_hn(args.n).elements
+        # checked against the closed-form count and lcm(1..n), not the enumeration
+        if len(elements) != payload["cardinality"] or (
+                args.n >= 3 and elements[-1] != math.lcm(*range(1, args.n + 1))):
+            raise InternalContradiction(f"H({args.n}) enumeration fails its count or lcm check")
+        payload["elements"] = elements
     return payload, []
 
 
@@ -313,6 +322,13 @@ def _primegen(args):
 
 
 def render_report(report: dict, fmt: str) -> str:
+    parts: list[str] = []
+    write_report(report, fmt, parts.append)
+    return "".join(parts)
+
+
+def write_report(report: dict, fmt: str, write: Callable[[str], object]) -> None:
+    """Render the report into write, one part (at most a list block) at a time."""
     # Integers are exact at any size: Python's integer-to-string digit limit
     # is lifted while the report renders and put back afterwards.
     limited = hasattr(sys, "set_int_max_str_digits")
@@ -321,81 +337,75 @@ def render_report(report: dict, fmt: str) -> str:
         sys.set_int_max_str_digits(0)
     try:
         if fmt == "json":
-            parts: list[str] = []
-            _emit_json(report, 0, parts)
-            parts.append("\n")
-            return "".join(parts)
-        if fmt == "csv":
-            return _render_csv(report)
-        return _render_text(report)
+            _emit_json(report, 0, write)
+            write("\n")
+        elif fmt == "csv":
+            _render_csv(report, write)
+        else:
+            write(_render_text(report))
     finally:
         if limited:
             sys.set_int_max_str_digits(saved)
 
 
 # Integer lists are rendered this many items per joined chunk, in JSON and CSV.
-_JSON_BLOCK = 1 << 16
+_JSON_BLOCK = 1 << 12
 
 
-def _emit_json(value, level: int, parts: list[str]) -> None:
-    """Append the text of json.dumps(value, indent=2, sort_keys=True), nested
-    `level` deep, to parts.
+def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
+    """Write the text of json.dumps(value, indent=2, sort_keys=True), nested
+    `level` deep, in parts.
 
     json.dumps with an indent encodes in pure Python, one chunk per list
     item; here a block of plain ints becomes one join over int.__str__.
     Scalars and keys still go through json.dumps, so the text is the same.
     """
     if not isinstance(value, (dict, list, tuple)):
-        parts.append(json.dumps(value))
+        write(json.dumps(value))
         return
     if not value:
-        parts.append("{}" if isinstance(value, dict) else "[]")
+        write("{}" if isinstance(value, dict) else "[]")
         return
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
     close = "\n" + "  " * level
     if isinstance(value, dict):
-        parts.append("{" + inner)
+        write("{" + inner)
         for i, (key, item) in enumerate(sorted(value.items())):
             if i:
-                parts.append(sep)
-            parts.append(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
-            _emit_json(item, level + 1, parts)
-        parts.append(close + "}")
+                write(sep)
+            write(json.dumps(key if isinstance(key, str) else json.dumps(key)) + ": ")
+            _emit_json(item, level + 1, write)
+        write(close + "}")
         return
-    parts.append("[" + inner)
+    write("[" + inner)
     for start in range(0, len(value), _JSON_BLOCK):
         if start:
-            parts.append(sep)
+            write(sep)
         block = value[start : start + _JSON_BLOCK]
         if set(map(type, block)) == {int}:  # exact ints: bools render as true/false
-            parts.append(sep.join(map(str, block)))
+            write(sep.join(map(str, block)))
             continue
         for i, item in enumerate(block):
             if i:
-                parts.append(sep)
-            _emit_json(item, level + 1, parts)
-    parts.append(close + "]")
+                write(sep)
+            _emit_json(item, level + 1, write)
+    write(close + "]")
 
 
-def _render_csv(report: dict) -> str:
-    lines = [
-        f"# schema_version={report['schema_version']}",
-        f"# artifact=grimm {report['artifact']['version']}",
-        f"# config={json.dumps(report['config'], sort_keys=True)}",
-        f"# status={report['status']}",
-    ]
+def _render_csv(report: dict, write: Callable[[str], object]) -> None:
     payload = report["result"]
     table = _SUBCOMMANDS[report["config"]["subcommand"]].csv
-    if table is not None:
-        cols, body = table
-        lines.append(",".join(cols))
-        lines.extend(body(payload))
-    else:
-        lines.append("key,value")
-        for k in sorted(payload):
-            lines.append(f"{k},{json.dumps(payload[k], sort_keys=True)}")
-    return "\n".join(lines) + "\n"
+    if table is None:
+        table = ("key", "value"), lambda p: [
+            f"{k},{json.dumps(p[k], sort_keys=True)}" for k in sorted(p)]
+    cols, body = table
+    write(f"# schema_version={report['schema_version']}\n"
+          f"# artifact=grimm {report['artifact']['version']}\n"
+          f"# config={json.dumps(report['config'], sort_keys=True)}\n"
+          f"# status={report['status']}\n" + ",".join(cols) + "\n")
+    for line in body(payload):
+        write(line + "\n")
 
 
 def _render_text(report: dict) -> str:
@@ -423,9 +433,6 @@ def run(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return _report(args)
-    except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_ERROR
     except Exception as exc:
         # A defect or an exhausted resource; it must not read as findings.
         # The raising frame is walked to by hand: importing traceback would
@@ -447,7 +454,11 @@ def run(argv=None) -> int:
 
 def _report(args) -> int:
     t0 = time.monotonic()
-    payload, findings = _SUBCOMMANDS[args.subcommand].run(args)
+    try:
+        payload, findings = _SUBCOMMANDS[args.subcommand].run(args)
+    except ValueError as exc:  # a usage or guard error; a later one is a defect
+        print(f"error: {exc}", file=sys.stderr)
+        return EXIT_ERROR
     config = {
         "subcommand": args.subcommand,
         "params": {
@@ -467,16 +478,22 @@ def _report(args) -> int:
     }
     if args.timings:
         report["elapsed_seconds"] = round(time.monotonic() - t0, 3)
-    text = render_report(report, args.format)
     if args.output:
         try:
-            with open(args.output, "w", encoding="utf-8") as fh:
-                fh.write(text)
+            fh = open(args.output, "w", encoding="utf-8")
+            try:
+                with fh:
+                    write_report(report, args.format, fh.write)
+            except BaseException:
+                # Leave no truncated report; a device or a link is not ours to remove.
+                if stat.S_ISREG(os.lstat(args.output).st_mode):
+                    os.remove(args.output)
+                raise
         except OSError as exc:  # an unwritable path is the caller's, not a defect
             print(f"error: cannot write the report: {exc}", file=sys.stderr)
             return EXIT_ERROR
     else:
-        sys.stdout.write(text)
+        write_report(report, args.format, sys.stdout.write)
     return EXIT_FINDINGS if findings else EXIT_OK
 
 

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
+from itertools import islice
 
 from .arith import default_sieve, factorize, is_prime
 
@@ -95,12 +96,12 @@ def enumerate_hn(n: int) -> HnSet:
     primes = _primes_upto(n)
     out = [1]
     for p in primes:
-        # Scaling the sorted products by p^e keeps them sorted, so out holds
-        # one sorted run per power; timsort finds the runs and merges them.
-        base = out[:]
+        # Each power p^e appends the first `size` products, read in place, scaled
+        # by it: one sorted run per power, which timsort finds and merges.
+        size = len(out)
         q = p
         while q <= n:
-            out += [x * q for x in base]
+            out.extend(map(q.__mul__, islice(out, size)))
             q *= p
         out.sort()
     # 1 and the primes are the only non-members, and all of them are <= n.

@@ -1,9 +1,12 @@
+import dataclasses
+import errno
 import hashlib
 import json
 import os
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -447,12 +450,12 @@ def test_json_rendering_across_integer_blocks():
 def test_real_reports_render_as_json_dumps(monkeypatch, tmp_path, argv):
     reports = []
 
-    def capture(report, fmt):
+    def capture(report, fmt, write):
         reports.append(report)
-        return render(report, fmt)
+        return write_report(report, fmt, write)
 
-    render = grimm.cli.render_report
-    monkeypatch.setattr(grimm.cli, "render_report", capture)
+    write_report = grimm.cli.write_report
+    monkeypatch.setattr(grimm.cli, "write_report", capture)
     out = tmp_path / "report.json"
     assert run([*argv, "--format", "json", "--output", str(out)]) in (EXIT_OK, EXIT_FINDINGS)
     (report,) = reports
@@ -475,6 +478,118 @@ def test_hn_report_bytes(monkeypatch, capsys, fmt, block):
     code, out = run_capture(capsys, "hn", "--n", "30", "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == HN30_SHA[fmt]
+
+
+def _tee_writes(monkeypatch):
+    """Record every (report, parts written) that passes through write_report."""
+    calls = []
+    write_report = grimm.cli.write_report
+
+    def tee(report, fmt, write):
+        parts = []
+        calls.append((report, parts))
+        write_report(report, fmt, lambda part: (parts.append(part), write(part)))
+
+    monkeypatch.setattr(grimm.cli, "write_report", tee)
+    return calls
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+def test_hn_report_streams_in_parts(monkeypatch, tmp_path, fmt):
+    calls = _tee_writes(monkeypatch)
+    out = tmp_path / "report"
+    assert run(["hn", "--n", "48", "--format", fmt, "--output", str(out)]) == EXIT_OK
+    ((report, parts),) = calls
+    assert len(parts) > len(report["result"]["elements"]) // grimm.cli._JSON_BLOCK
+    text = "".join(parts)
+    assert text == out.read_text(encoding="utf-8")
+    assert text == grimm.cli.render_report(report, fmt)
+
+
+def test_writing_holds_a_block_not_the_report(monkeypatch, tmp_path):
+    write_report = grimm.cli.write_report
+    calls = _tee_writes(monkeypatch)
+    assert run(["hn", "--n", "48", "--format", "json", "--output", str(tmp_path / "r")]) == 0
+    ((report, parts),) = calls
+    length = sum(map(len, parts))
+    written = []
+    tracemalloc.start()
+    try:
+        write_report(report, "json", lambda part: written.append(len(part)))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert sum(written) == length
+    assert peak < length / 4
+
+
+def _fail_after(monkeypatch, parts: int, exc: BaseException):
+    """Make write_report raise exc when it comes to write part number parts + 1."""
+    write_report = grimm.cli.write_report
+
+    def failing(report, fmt, write):
+        count = 0
+
+        def broken(part):
+            nonlocal count
+            count += 1
+            if count > parts:
+                raise exc
+            write(part)
+
+        write_report(report, fmt, broken)
+
+    monkeypatch.setattr(grimm.cli, "write_report", failing)
+
+
+@pytest.mark.parametrize("exc, code", [
+    (OSError(errno.ENOSPC, "No space left on device"), EXIT_ERROR),
+    (MemoryError(), EXIT_INTERNAL),
+    (ValueError("bad part"), EXIT_INTERNAL),
+])
+def test_failed_write_leaves_no_output_file(monkeypatch, tmp_path, capsys, exc, code):
+    _fail_after(monkeypatch, 5, exc)
+    out = tmp_path / "report.json"
+    assert run(["hn", "--n", "30", "--format", "json", "--output", str(out)]) == code
+    captured = capsys.readouterr()
+    assert not out.exists()
+    assert captured.out == ""
+    if code == EXIT_ERROR:
+        assert captured.err.startswith("error: cannot write the report: ")
+    else:
+        assert json.loads(captured.err)["error"] == type(exc).__name__
+
+
+@pytest.mark.parametrize("exc", [MemoryError(), ValueError("bad part")])
+def test_partial_stdout_report_exits_internal(monkeypatch, capsys, exc):
+    code, whole = run_capture(capsys, "hn", "--n", "30", "--format", "json")
+    assert code == EXIT_OK
+    _fail_after(monkeypatch, 5, exc)
+    assert run(["hn", "--n", "30", "--format", "json"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out and whole.startswith(captured.out) and captured.out != whole
+    assert json.loads(captured.err)["error"] == type(exc).__name__
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda xs: xs[1:],  # one member dropped
+    lambda xs: (*xs[:-1], xs[-1] + 1),  # the largest member is not lcm(1..n)
+])
+def test_hn_enumeration_is_checked(monkeypatch, capsys, corrupt):
+    enumerate_hn = grimm.cli.enumerate_hn
+
+    def corrupted(n):
+        hn = enumerate_hn(n)
+        return dataclasses.replace(hn, elements=corrupt(hn.elements))
+
+    monkeypatch.setattr(grimm.cli, "enumerate_hn", corrupted)
+    assert run(["hn", "--n", "30", "--format", "json"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert error["status"] == "internal_error"
+    assert error["error"] == "InternalContradiction"
+    assert error["where"].endswith("in _hn")
 
 
 def _full_dump_text(report) -> str:
