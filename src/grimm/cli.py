@@ -23,6 +23,8 @@ import os
 import stat
 import sys
 import time
+from collections import deque
+from itertools import chain, islice
 from typing import Callable
 
 from . import __version__
@@ -39,7 +41,7 @@ from .conjectures import (
 )
 from .coprime import construct_representation, verify_representation
 from .primegen import generate
-from .smooth import enumerate_hn, hn_cardinality
+from .smooth import hn_cardinality, hn_segments
 
 SCHEMA_VERSION = 1
 
@@ -219,18 +221,40 @@ def _scan(args):
 @_subcommand("hn", "the set H(n) of bounded-prime-power composites",
              _int("--n", required=True), ("--count-only", {"action": "store_true"}),
              csv=(("element",), lambda p: (  # one joined block per _JSON_BLOCK members
-                 "\n".join(map(str, p["elements"][i : i + _JSON_BLOCK]))
-                 for i in range(0, len(p.get("elements", ())), _JSON_BLOCK))))
+                 "\n".join(map(str, block)) for block in _blocks(p.get("elements", ())))))
 def _hn(args):
     payload = {"n": args.n, "cardinality": hn_cardinality(args.n)}
     if not args.count_only:
-        elements = enumerate_hn(args.n).elements
-        # checked against the closed-form count and lcm(1..n), not the enumeration
-        if len(elements) != payload["cardinality"] or (
-                args.n >= 3 and elements[-1] != math.lcm(*range(1, args.n + 1))):
-            raise InternalContradiction(f"H({args.n}) enumeration fails its count or lcm check")
-        payload["elements"] = elements
+        payload["elements"] = _HnMembers(args.n, payload["cardinality"])
     return payload, []
+
+
+class _HnMembers:
+    """The members of H(n), read from a fresh hn_segments stream on each
+    iteration, so that H(n) is never held whole.  When a stream ends it is
+    checked against the closed-form count and lcm(1..n), not against the
+    enumeration; len is that closed-form count."""
+
+    def __init__(self, n: int, count: int):
+        self.n = n
+        self.count = count
+        hn_segments(n)  # raises the guard error now, before any part is written
+
+    def __len__(self) -> int:
+        return self.count
+
+    def __iter__(self):
+        return chain.from_iterable(self._checked(hn_segments(self.n)))
+
+    def _checked(self, segments):
+        count = last = 0
+        for segment in segments:
+            count += len(segment)
+            last = segment[-1]
+            yield segment
+            del segment  # the next segment is built with this one released
+        if count != self.count or (self.n >= 3 and last != math.lcm(*range(1, self.n + 1))):
+            raise InternalContradiction(f"H({self.n}) enumeration fails its count or lcm check")
 
 
 @_subcommand("verify-small", "exhaustive short-window check below the threshold",
@@ -351,6 +375,16 @@ def write_report(report: dict, fmt: str, write: Callable[[str], object]) -> None
 # Integer lists are rendered this many items per joined chunk, in JSON and CSV.
 _JSON_BLOCK = 1 << 12
 
+# The values rendered as JSON lists; H(n) members are read as a stream.
+_LISTS = (list, tuple, _HnMembers)
+
+
+def _blocks(items):
+    """Lists of at most _JSON_BLOCK items, read from items to its end."""
+    items = iter(items)
+    while block := list(islice(items, _JSON_BLOCK)):
+        yield block
+
 
 def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
     """Write the text of json.dumps(value, indent=2, sort_keys=True), nested
@@ -360,16 +394,13 @@ def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
     item; here a block of plain ints becomes one join over int.__str__.
     Scalars and keys still go through json.dumps, so the text is the same.
     """
-    if not isinstance(value, (dict, list, tuple)):
-        write(json.dumps(value))
-        return
-    if not value:
-        write("{}" if isinstance(value, dict) else "[]")
-        return
     inner = "\n" + "  " * (level + 1)
     sep = "," + inner
     close = "\n" + "  " * level
     if isinstance(value, dict):
+        if not value:
+            write("{}")
+            return
         write("{" + inner)
         for i, (key, item) in enumerate(sorted(value.items())):
             if i:
@@ -378,11 +409,13 @@ def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
             _emit_json(item, level + 1, write)
         write(close + "}")
         return
-    write("[" + inner)
-    for start in range(0, len(value), _JSON_BLOCK):
-        if start:
-            write(sep)
-        block = value[start : start + _JSON_BLOCK]
+    if not isinstance(value, _LISTS):
+        write(json.dumps(value))
+        return
+    opened = False
+    for block in _blocks(value):
+        write(sep if opened else "[" + inner)
+        opened = True
         if set(map(type, block)) == {int}:  # exact ints: bools render as true/false
             write(sep.join(map(str, block)))
             continue
@@ -390,7 +423,7 @@ def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
             if i:
                 write(sep)
             _emit_json(item, level + 1, write)
-    write(close + "]")
+    write(close + "]" if opened else "[]")
 
 
 def _render_csv(report: dict, write: Callable[[str], object]) -> None:
@@ -411,10 +444,13 @@ def _render_csv(report: dict, write: Callable[[str], object]) -> None:
 def _render_text(report: dict) -> str:
     lines = [f"grimm {report['artifact']['version']} :: {report['config']['subcommand']}"]
     for k, v in sorted(report["result"].items()):
-        if isinstance(v, (list, tuple)):
+        if isinstance(v, _LISTS):
             # An item with its ", " takes at least 3 characters, so this
-            # prefix already runs past the cut below.
-            v = v[: 4000 // 3 + 1]
+            # prefix already runs past the cut below.  The rest is read to
+            # its end, so a streamed list still runs its end-of-stream check.
+            items = iter(v)
+            v = list(islice(items, 4000 // 3 + 1))
+            deque(items, maxlen=0)
         text = json.dumps(v, sort_keys=True) if isinstance(v, (dict, list, tuple)) else str(v)
         if len(text) > 4000:
             text = text[:4000] + "...(truncated)"

@@ -59,8 +59,12 @@ def _composite_gaps(limit: int, min_len: int) -> list[tuple[int, int]]:
     """(m, n) for each maximal run m+1 .. m+n of n >= min_len composites within [2, limit]."""
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
-    ps = default_sieve(limit + 1).primes
-    ends = itertools.islice(ps, 1, bisect.bisect_right(ps, limit + 1))
+    # The primes up to limit bound every run but the last; that one is
+    # maximal within the limit only when limit + 1 is prime.
+    ps = default_sieve(limit).primes
+    k = bisect.bisect_right(ps, limit)
+    last = [limit + 1] if k and is_prime(limit + 1) else []
+    ends = itertools.chain(itertools.islice(ps, 1, k), last)
     return [(p, q - p - 1) for p, q in zip(ps, ends) if q - p > min_len]
 
 
@@ -108,7 +112,7 @@ def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
     out = []
     for m, n in windows:
         col = tops[m - m0 : m - m0 + n]
-        if min(col) >= n and len(set(col)) == n:
+        if len(set(col)) == n:  # n distinct checked primes: an assignment
             continue
         stuck = _settle_grimm(Window(m, n), col)
         if isinstance(stuck, int):
@@ -126,10 +130,10 @@ def verify_grimm_range(
     are the only windows that need checking.  The runs are cut into blocks
     of at most BLOCK_RUNS runs spanning at most BLOCK_SPAN integers; each
     block builds and checks one largest-prime-factor column over its span.
-    A run whose entries are all >= n is settled by n distinct entries (a
-    prime p >= n divides at most one of n elements); a run with an n-smooth
-    element goes to _settle_grimm.  The blocks do not depend on the worker
-    count, and neither does the report content.
+    A run whose n entries are distinct is settled by them: each is a
+    checked prime dividing its element.  Only a run where two elements
+    share their largest prime factor goes to _settle_grimm.  The blocks do
+    not depend on the worker count, and neither does the report content.
     """
     t0 = time.monotonic()
     windows = _composite_gaps(limit, min_len)

@@ -15,7 +15,8 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import islice
+from itertools import chain, islice
+from typing import Iterator
 
 from .arith import default_sieve, factorize, is_prime
 
@@ -80,10 +81,25 @@ def hn_cardinality(n: int) -> int:
 
 
 def enumerate_hn(n: int) -> HnSet:
-    """Exact ascending enumeration of H(n) by exponent vectors.
+    """Exact ascending enumeration of H(n), the concatenated hn_segments(n).
 
     Guarded: raises when the vector count exceeds ENUMERATION_GUARD, which
     keeps worst-case runtime around a minute.
+    """
+    return HnSet(n=n, elements=tuple(chain.from_iterable(hn_segments(n))))
+
+
+def hn_segments(n: int) -> Iterator[list[int]]:
+    """H(n) as ascending sorted lists, one per nonempty value range [2^k, 2^(k+1)).
+
+    Every exponent-vector product is 2^a * u with u odd.  Only the powers
+    of two up to n and the sorted odd products are held: a range is the
+    union of one slice of the odd products per power of two, and one sort
+    merges those sorted runs.  So H(n) is never held whole; the largest
+    segment of H(64) has 159,829 members against 4,128,749 in all.
+
+    The guard (as for enumerate_hn) is checked here, before the first
+    segment is asked for.
     """
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
@@ -93,19 +109,32 @@ def enumerate_hn(n: int) -> HnSet:
             f"H({n}) enumeration needs {count} exponent vectors, beyond the"
             f" guard ENUMERATION_GUARD = {ENUMERATION_GUARD}"
         )
-    primes = _primes_upto(n)
-    out = [1]
-    for p in primes:
+    return _segments(n, _primes_upto(n))
+
+
+def _segments(n: int, primes: list[int]) -> Iterator[list[int]]:
+    odd = [1]
+    for p in primes[1:]:
         # Each power p^e appends the first `size` products, read in place, scaled
         # by it: one sorted run per power, which timsort finds and merges.
-        size = len(out)
+        size = len(odd)
         q = p
         while q <= n:
-            out.extend(map(q.__mul__, islice(out, size)))
+            odd.extend(map(q.__mul__, islice(odd, size)))
             q *= p
-        out.sort()
+        odd.sort()
+    twos = n.bit_length()  # the powers 2^a <= n are those with a < twos
     # 1 and the primes are the only non-members, and all of them are <= n.
-    head = bisect.bisect_right(out, n)
     skip = {1, *primes}
-    out[:head] = [x for x in out[:head] if x not in skip]
-    return HnSet(n=n, elements=tuple(out))
+    for k in range(odd[-1].bit_length() + twos - 1):
+        segment = []
+        for a in range(min(k + 1, twos)):
+            # 2^a * u lies in [2^k, 2^(k+1)) iff u lies in [2^(k-a), 2^(k-a+1)).
+            lo = bisect.bisect_left(odd, 1 << (k - a))
+            run = odd[lo : bisect.bisect_left(odd, 2 << (k - a), lo)]
+            segment.extend(map(a.__rlshift__, run) if a else run)
+        segment.sort()
+        if 1 << k <= n:
+            segment = [x for x in segment if x not in skip]
+        if segment:
+            yield segment

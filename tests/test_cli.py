@@ -1,4 +1,3 @@
-import dataclasses
 import errno
 import hashlib
 import json
@@ -15,6 +14,7 @@ from hypothesis import strategies as st
 
 import grimm.arith
 import grimm.cli
+import grimm.smooth
 from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, run
 from grimm.coprime import InternalContradiction
 
@@ -396,11 +396,12 @@ def test_reports_render_integers_past_the_digit_limit(fmt):
 
 
 def _dumps(value) -> str:
-    # the reference rendering, with the digit limit lifted as render_report does
+    # the reference rendering, with the digit limit lifted as render_report
+    # does; a streamed list (the members of H(n)) is dumped as a list
     before = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)
     try:
-        return json.dumps(value, indent=2, sort_keys=True) + "\n"
+        return json.dumps(value, indent=2, sort_keys=True, default=list) + "\n"
     finally:
         sys.set_int_max_str_digits(before)
 
@@ -512,6 +513,10 @@ def test_writing_holds_a_block_not_the_report(monkeypatch, tmp_path):
     assert run(["hn", "--n", "48", "--format", "json", "--output", str(tmp_path / "r")]) == 0
     ((report, parts),) = calls
     length = sum(map(len, parts))
+    # the members as the report held them before they were streamed: this
+    # measures the writer alone (test_hn_run_never_holds_the_members
+    # measures the stream)
+    report["result"]["elements"] = tuple(report["result"]["elements"])
     written = []
     tracemalloc.start()
     try:
@@ -571,25 +576,50 @@ def test_partial_stdout_report_exits_internal(monkeypatch, capsys, exc):
     assert json.loads(captured.err)["error"] == type(exc).__name__
 
 
+LCM30 = 2329089562800  # lcm(1..30), the largest member of H(30)
+
+
 @pytest.mark.parametrize("corrupt", [
-    lambda xs: xs[1:],  # one member dropped
-    lambda xs: (*xs[:-1], xs[-1] + 1),  # the largest member is not lcm(1..n)
+    lambda segments: (s[1:] if i == 0 else s for i, s in enumerate(segments)),  # a member dropped
+    lambda segments: (  # the largest member is not lcm(1..n)
+        [*s[:-1], s[-1] + 1] if s[-1] == LCM30 else s for s in segments),
 ])
-def test_hn_enumeration_is_checked(monkeypatch, capsys, corrupt):
-    enumerate_hn = grimm.cli.enumerate_hn
+def test_hn_enumeration_is_checked(monkeypatch, tmp_path, capsys, corrupt):
+    # The check runs when the member stream ends, in every format: after a
+    # partial report on stdout, and with no file left behind under --output.
+    whole = {fmt: run_capture(capsys, "hn", "--n", "30", "--format", fmt)[1]
+             for fmt in ("json", "csv", "text")}
+    hn_segments = grimm.cli.hn_segments
+    monkeypatch.setattr(grimm.cli, "hn_segments", lambda n: corrupt(hn_segments(n)))
+    out = tmp_path / "report"
+    for fmt, report in whole.items():
+        for output in ([], ["--output", str(out)]):
+            assert run(["hn", "--n", "30", "--format", fmt, *output]) == EXIT_INTERNAL
+            captured = capsys.readouterr()
+            error = json.loads(captured.err)
+            assert error["status"] == "internal_error"
+            assert error["error"] == "InternalContradiction"
+            assert error["message"] == "H(30) enumeration fails its count or lcm check"
+            assert error["where"].endswith("in _checked")
+            if output or fmt == "text":  # text is rendered whole before it is written
+                assert captured.out == ""
+            else:
+                assert captured.out.splitlines()[0] == report.splitlines()[0]
+            assert not out.exists()
 
-    def corrupted(n):
-        hn = enumerate_hn(n)
-        return dataclasses.replace(hn, elements=corrupt(hn.elements))
 
-    monkeypatch.setattr(grimm.cli, "enumerate_hn", corrupted)
-    assert run(["hn", "--n", "30", "--format", "json"]) == EXIT_INTERNAL
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    error = json.loads(captured.err)
-    assert error["status"] == "internal_error"
-    assert error["error"] == "InternalContradiction"
-    assert error["where"].endswith("in _hn")
+def test_hn_run_never_holds_the_members(tmp_path):
+    # A whole run, enumeration included, holds one segment of H(48) and one
+    # block of its report: well below what the list of its members takes.
+    grimm.arith.default_sieve()
+    members = sum(sys.getsizeof(x) + 8 for s in grimm.smooth.hn_segments(48) for x in s)
+    tracemalloc.start()
+    try:
+        assert run(["hn", "--n", "48", "--format", "json", "--output", str(tmp_path / "r")]) == 0
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < members / 2
 
 
 def _full_dump_text(report) -> str:

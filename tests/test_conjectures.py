@@ -3,6 +3,7 @@ import multiprocessing
 
 import pytest
 
+import grimm.arith
 import grimm.assign
 import grimm.conjectures
 from grimm.arith import InternalContradiction, Window, largest_prime_factors
@@ -112,6 +113,41 @@ def test_composite_gaps_match_a_naive_walk():
         _composite_gaps(100, 0)
 
 
+def test_composite_gaps_at_the_top_of_the_sieve(monkeypatch):
+    # The last run within the limit is decided by is_prime(limit + 1), also
+    # past the sieve: 999,983 and 1,000,003 are consecutive primes, and
+    # limit + 1 is prime below at 999,982 and past it at 1,000,002.
+    top = grimm.arith.default_sieve().limit
+    monkeypatch.setattr(grimm.arith, "_sieve", grimm.arith.default_sieve())  # drop the grown one
+    for limit in (999_900, 999_982, 999_983, 999_999, top, 1_000_001, 1_000_002):
+        walked = []
+        last = None
+        for x in range(999_800, limit + 2):
+            if naive_is_prime(x):
+                if last is not None and x - last > 1:
+                    walked.append((last, x - last - 1))
+                last = x
+        assert _composite_gaps(limit, 1)[-len(walked):] == walked, limit
+    assert naive_is_prime(1_000_003) and _composite_gaps(1_000_002, 1)[-1] == (999_983, 19)
+
+
+def test_verify_at_the_default_limit_builds_no_sieve(monkeypatch):
+    # verify at 10^6 reads its runs from the default 10^6 sieve and decides
+    # the run ending at the limit by is_prime(limit + 1), not a second sieve.
+    monkeypatch.setattr(grimm.arith, "_sieve", grimm.arith.PrimeSieve(10**6))
+    built = []
+    init = grimm.arith.PrimeSieve.__init__
+
+    def counting(self, limit):
+        built.append(limit)
+        init(self, limit)
+
+    monkeypatch.setattr(grimm.arith.PrimeSieve, "__init__", counting)
+    report = verify_grimm_range(10**6)
+    assert built == []
+    assert report.ok and report.windows_checked == len(_composite_gaps(10**6, 1))
+
+
 def test_verify_grimm_small_ranges():
     report = verify_grimm_range(4)
     assert report.windows_checked == 1 and report.ok
@@ -186,8 +222,9 @@ def test_grimm_chunk_rejects_a_short_column(monkeypatch):
 
 
 def test_only_smooth_runs_reach_the_settle_walk(monkeypatch):
-    # A run goes to _settle_grimm iff it holds an element whose largest
-    # prime factor is below n; every other run is settled from its column.
+    # A run goes to _settle_grimm iff two of its elements share their
+    # largest prime factor; every other run is settled by its n distinct,
+    # checked column entries.
     walked = []
 
     def recording(w, tops):
@@ -198,10 +235,10 @@ def test_only_smooth_runs_reach_the_settle_walk(monkeypatch):
     windows = _composite_gaps(2 * 10**4, 1)
     assert _grimm_chunk(windows) == []
 
-    def smooth_element(m, n):
-        return any(max(naive_factorize(x)) < n for x in range(m + 1, m + n + 1))
+    def shared_top(m, n):
+        return len({max(naive_factorize(x)) for x in range(m + 1, m + n + 1)}) < n
 
-    assert walked == [(m, n) for m, n in windows if smooth_element(m, n)]
+    assert walked == [(m, n) for m, n in windows if shared_top(m, n)]
     assert 0 < len(walked) < len(windows) // 2
 
 

@@ -1,3 +1,5 @@
+from itertools import chain
+
 import pytest
 
 from grimm.arith import representation_threshold
@@ -5,6 +7,7 @@ from grimm.smooth import (
     ENUMERATION_GUARD,
     enumerate_hn,
     hn_cardinality,
+    hn_segments,
     in_hn,
     vector_count,
 )
@@ -73,12 +76,14 @@ def test_enumeration_guard():
         enumerate_hn(71)
     with pytest.raises(ValueError, match="guard"):
         enumerate_hn(200)
+    with pytest.raises(ValueError, match="guard"):
+        hn_segments(71)  # at the call, before any segment is asked for
     # the closed form stays available far beyond the enumeration guard
     assert hn_cardinality(200) == vector_count(200) - 1 - 46
 
 
 def test_invalid_n():
-    for fn in (enumerate_hn, hn_cardinality):
+    for fn in (enumerate_hn, hn_segments, hn_cardinality):
         with pytest.raises(ValueError):
             fn(1)
 
@@ -91,8 +96,18 @@ def test_bigint_path_examples():
 
 
 def test_enumeration_matches_merged_oracle():
+    # H(n) streams as sorted, nonempty segments, each within one range
+    # [2^k, 2^(k+1)) and the ranges ascending, so they are disjoint;
+    # enumerate_hn concatenates them
     for n in range(2, 61):
-        assert enumerate_hn(n).elements == tuple(merged_hn(n)), f"n={n}"
+        segments = list(hn_segments(n))
+        expected = merged_hn(n)
+        assert list(chain.from_iterable(segments)) == expected, f"n={n}"
+        ranges = [s[0].bit_length() for s in segments]
+        assert [s[-1].bit_length() for s in segments] == ranges, f"n={n}"
+        assert ranges == sorted(set(ranges)), f"n={n}"
+    assert enumerate_hn(60).elements == tuple(expected)
+    assert max(map(len, hn_segments(30))) < hn_cardinality(30) // 4
 
 
 def test_membership_by_bisection():
