@@ -19,15 +19,17 @@ every part > 1 by it, and send only the rest to the matching.
 
 from __future__ import annotations
 
-import multiprocessing
+import bisect
+import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate
+from itertools import accumulate, chain, groupby
 
 from .arith import (
+    FACTORIZATION_BOUND,
     Window,
     all_prime,
-    default_sieve,
+    factorize,
     largest_prime_factors,
     largest_prime_powers,
     prime_divisors,
@@ -39,6 +41,8 @@ from .coprime import (
     verify_representation,
 )
 from .matching import augment, max_matching
+from .primegen import band_primes
+from .smooth import hn_cardinality, hn_segments
 
 
 @dataclass(frozen=True)
@@ -226,8 +230,9 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
 def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
     """(n, blocking evidence or None if feasible) for n = n_lo .. n_hi.
 
-    tops holds L(m+1) .. L(m+n_hi), the largest prime power dividing each
-    element (see largest_prime_powers).  A window in which every
+    tops[i-1] is L(m+i), the largest prime power dividing m+i (see
+    largest_prime_powers), or any value > n_hi where L(m+i) is: the scan
+    passes n_max + 1 for the elements outside H(n_max).  A window in which every
     L(m+i) > n is feasible without a walk: the prime power p^v = L(m+i)
     divides m+i exactly and is > n, so m+i is the window's only multiple
     of p^v, v_p(C(m+n, n)) >= 1, and the canonical rule puts that prime's
@@ -291,59 +296,19 @@ class Counterexample:
     blocking_value: int
 
 
-def _scan_chunk(args) -> list[Counterexample]:
-    (m_lo, m_hi), (n_lo, n_hi) = args
-    sieve = default_sieve(m_hi + n_hi + 1)
-    tops = largest_prime_powers(m_lo + 1, m_hi + n_hi)
-    # A row has a window the H(n) lemma leaves unsettled only if one of
-    # its elements x has L(x) <= n_hi; every other row is skipped whole.
-    rows = sorted({
-        m
-        for x, top in enumerate(tops, m_lo + 1)
-        if top <= n_hi
-        for m in range(max(m_lo, x - n_hi), min(m_hi, x - 1) + 1)
-    })
-    out = []
-    for m in rows:
-        run = sieve.composite_run(m, n_hi)
-        k = m - m_lo
-        for n, blocking in _decide_row(m, n_lo, run, tops[k : k + run]):
-            if blocking is not None:
-                out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
-    return out
-
-
-def map_blocks(fn, blocks: list, workers: int) -> list:
-    """The concatenated lists fn(block), in block order: in-process, or in a
-    pool of at most one worker per block."""
-    if workers <= 1 or len(blocks) <= 1:
-        pieces = map(fn, blocks)
-    else:
-        with multiprocessing.Pool(min(workers, len(blocks))) as pool:
-            pieces = pool.map(fn, blocks)
-    return [item for piece in pieces for item in piece]
-
-
-# With the settle rule a scan row costs about 10 us in-process (20,000 rows
-# of the README rectangle take about 0.25 s on a 2-core Xeon).  A smaller
-# rectangle gains little from a pool, whose wall time then hinges on every
-# worker's core being free at once: on that rectangle, alternated 30 s
-# bench runs at --workers 2 gave in-process medians within 3% of each other
-# and pool medians up to 20% apart.
-SCAN_POOL_MIN_ROWS = 1 << 15
-
-
 def scan_counterexamples(
-    m_range: tuple[int, int],
-    n_range: tuple[int, int],
-    workers: int = 1,
+    m_range: tuple[int, int], n_range: tuple[int, int]
 ) -> list[Counterexample]:
     """All-composite windows in the rectangle failing the exact representation.
 
     Complete over m in m_range, n in n_range (inclusive bounds), ordered by
-    (m, n).  Work is chunked by fixed m-blocks, so the output is identical
-    for every worker count.  A rectangle of fewer than SCAN_POOL_MIN_ROWS
-    rows is scanned in-process whatever the worker count.
+    (m, n).  The H(n) lemma leaves a window open only if it holds an x with
+    L(x) <= n_max, a member of H(n_max) (checked by factorize, and counted
+    once the bound m_max + n_max reaches lcm(1..n_max)) or a prime <= n_max,
+    so only the rows x - n_max <= m < x are decided, each up to the next
+    prime that band_primes finds for its run of rows.  A rectangle whose
+    largest element, min(m_max, lcm(1..n_max)) + n_max, reaches
+    FACTORIZATION_BOUND is refused before any row is decided.
     """
     m_lo, m_hi = m_range
     n_lo, n_hi = n_range
@@ -352,15 +317,32 @@ def scan_counterexamples(
     # Bertrand: a window with n >= m holds a prime in (m, 2m], so no
     # all-composite window of the rectangle is wider than m_hi.
     n_hi = min(n_hi, m_hi)
-    if m_hi < m_lo or n_hi < n_lo or n_hi == 0:
+    # A window of one composite is its own part > 1.
+    if m_hi < m_lo or n_hi < n_lo or n_hi < 2:
         return []
-    n_lo = max(n_lo, 1)
-    default_sieve(m_hi + n_hi + 1)
-    chunk = 2048
-    blocks = [
-        ((lo, min(lo + chunk - 1, m_hi)), (n_lo, n_hi))
-        for lo in range(m_lo, m_hi + 1, chunk)
-    ]
-    if m_hi - m_lo + 1 < SCAN_POOL_MIN_ROWS:
-        workers = 1
-    return map_blocks(_scan_chunk, blocks, workers)
+    bound = m_hi + n_hi
+    # lcm(1..n_hi), the largest member of H(n_hi), or the first partial lcm past the bound.
+    lcm = next((q for q in accumulate(range(1, n_hi + 1), math.lcm) if q > bound), None)
+    lcm = lcm or math.lcm(*range(1, n_hi + 1))
+    if min(m_hi, lcm) + n_hi >= FACTORIZATION_BOUND:
+        raise ValueError(f"scan elements reach FACTORIZATION_BOUND = {FACTORIZATION_BOUND}")
+    members = list(chain.from_iterable(hn_segments(n_hi, bound)))
+    tops = {x: max(p**e for p, e in factorize(x).items())
+            for x in chain(band_primes(2, n_hi + 1), members) if x > m_lo}
+    complete = lcm > bound or len(members) == hn_cardinality(n_hi)
+    if max(tops.values(), default=0) > n_hi or not complete:
+        raise InternalContradiction(f"bad enumeration of H({n_hi}) up to {bound}")
+    rows = sorted({m for x in tops for m in range(max(m_lo, x - n_hi), min(m_hi, x - 1) + 1)})
+    out = []
+    for _, run in groupby(enumerate(rows), lambda pair: pair[1] - pair[0]):
+        block = [m for _, m in run]
+        lo, hi = block[0], block[-1] + n_hi + 1
+        primes = band_primes(lo + 1, hi)
+        column = [tops.get(x, n_hi + 1) for x in range(lo + 1, hi)]
+        for m in block:
+            k = bisect.bisect_right(primes, m)
+            width = min(n_hi, primes[k] - m - 1) if k < len(primes) else n_hi
+            for n, blocking in _decide_row(m, n_lo, width, column[m - lo : m - lo + width]):
+                if blocking is not None:
+                    out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
+    return out

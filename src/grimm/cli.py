@@ -208,9 +208,7 @@ def _w(args):
              _int("--n-min", 1), _int("--n-max", required=True),
              csv=_rows("counterexamples", ("m", "n", "blocking_value")))
 def _scan(args):
-    hits = scan_counterexamples(
-        (args.m_min, args.m_max), (args.n_min, args.n_max), args.workers
-    )
+    hits = scan_counterexamples((args.m_min, args.m_max), (args.n_min, args.n_max))
     return {
         "m_range": [args.m_min, args.m_max],
         "n_range": [args.n_min, args.n_max],

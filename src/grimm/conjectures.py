@@ -24,6 +24,7 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
+import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -34,7 +35,6 @@ from .assign import (
     _check_column,
     _settle_grimm,
     exact_representation_exists,
-    map_blocks,
     scan_counterexamples,
 )
 from .coprime import InternalContradiction, construct_representation
@@ -118,6 +118,17 @@ def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
         if isinstance(stuck, int):
             out.append(GrimmFailure(m=m, n=n, reason=f"no distinct prime for {m + stuck}"))
     return out
+
+
+def map_blocks(fn, blocks: list, workers: int) -> list:
+    """The concatenated lists fn(block), in block order: in-process, or in a
+    pool of at most one worker per block."""
+    if workers <= 1 or len(blocks) <= 1:
+        pieces = map(fn, blocks)
+    else:
+        with multiprocessing.Pool(min(workers, len(blocks))) as pool:
+            pieces = pool.map(fn, blocks)
+    return [item for piece in pieces for item in piece]
 
 
 def verify_grimm_range(

@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from itertools import compress, islice
 
-from .arith import DEFAULT_SIEVE_LIMIT, default_sieve, probable_prime
+from .arith import DEFAULT_SIEVE_LIMIT, default_sieve, is_prime, probable_prime
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -156,12 +156,13 @@ def _strike(start: int, count: int, primes) -> bytearray:
 
 
 def band_primes(lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi), 2 <= lo: the survivors of a sieve of the band
-    by every prime up to sqrt(hi - 1)."""
-    root = math.isqrt(hi - 1)
-    primes = default_sieve(root).primes
-    alive = _strike(lo, hi - lo, islice(primes, bisect.bisect_right(primes, root)))
-    return list(compress(range(lo, hi), alive))
+    """The primes in [lo, hi), 2 <= lo: the survivors of a strike of the band
+    by the shared sieve's primes up to sqrt(hi - 1), without growing it.  A
+    composite survivor exceeds limit^2, so is_prime decides only those."""
+    sieve = default_sieve()
+    primes = sieve.primes
+    alive = _strike(lo, hi - lo, islice(primes, bisect.bisect_right(primes, math.isqrt(hi - 1))))
+    return [x for x in compress(range(lo, hi), alive) if x <= sieve.limit**2 or is_prime(x)]
 
 
 def first_prime(

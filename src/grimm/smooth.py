@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator
 
-from .arith import default_sieve, factorize, is_prime
+from .arith import default_sieve, factorize, is_prime, representation_threshold
 
 # Enumeration walks every exponent vector; refuse anything bigger.
 ENUMERATION_GUARD = 10**7
@@ -89,38 +89,44 @@ def enumerate_hn(n: int) -> HnSet:
     return HnSet(n=n, elements=tuple(chain.from_iterable(hn_segments(n))))
 
 
-def hn_segments(n: int) -> Iterator[list[int]]:
-    """H(n) as ascending sorted lists, one per nonempty value range [2^k, 2^(k+1)).
+def hn_segments(n: int, bound: int | None = None) -> Iterator[list[int]]:
+    """H(n) as ascending sorted lists, one per nonempty value range [2^k, 2^(k+1)),
+    holding only the members <= bound when a bound is given.
 
     Every exponent-vector product is 2^a * u with u odd.  Only the powers
     of two up to n and the sorted odd products are held: a range is the
     union of one slice of the odd products per power of two, and one sort
     merges those sorted runs.  So H(n) is never held whole; the largest
-    segment of H(64) has 159,829 members against 4,128,749 in all.
+    segment of H(64) has 159,829 members against 4,128,749 in all.  A
+    product above the bound (by default lcm(1..n), the largest product) is
+    dropped as soon as it is formed.
 
-    The guard (as for enumerate_hn) is checked here, before the first
-    segment is asked for.
+    The guard (as for enumerate_hn, on min(vector_count(n), bound)) is
+    checked here, before the first segment is asked for.
     """
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
-    count = vector_count(n)
+    if bound is not None and min(n, bound) > ENUMERATION_GUARD:
+        count = bound  # vector_count(n) > n: refused without the primes up to n
+    else:
+        count = vector_count(n) if bound is None else min(vector_count(n), bound)
     if count > ENUMERATION_GUARD:
         raise ValueError(
             f"H({n}) enumeration needs {count} exponent vectors, beyond the"
             f" guard ENUMERATION_GUARD = {ENUMERATION_GUARD}"
         )
-    return _segments(n, _primes_upto(n))
+    return _segments(n, _primes_upto(n), representation_threshold(n) if bound is None else bound)
 
 
-def _segments(n: int, primes: list[int]) -> Iterator[list[int]]:
+def _segments(n: int, primes: list[int], bound: int) -> Iterator[list[int]]:
     odd = [1]
     for p in primes[1:]:
-        # Each power p^e appends the first `size` products, read in place, scaled
-        # by it: one sorted run per power, which timsort finds and merges.
+        # Each power p^e appends the first `size` products up to bound // p^e, read in
+        # place, scaled by it: one sorted run per power, which timsort finds and merges.
         size = len(odd)
         q = p
         while q <= n:
-            odd.extend(map(q.__mul__, islice(odd, size)))
+            odd.extend(map(q.__mul__, islice(odd, bisect.bisect_right(odd, bound // q, 0, size))))
             q *= p
         odd.sort()
     twos = n.bit_length()  # the powers 2^a <= n are those with a < twos
@@ -129,9 +135,10 @@ def _segments(n: int, primes: list[int]) -> Iterator[list[int]]:
     for k in range(odd[-1].bit_length() + twos - 1):
         segment = []
         for a in range(min(k + 1, twos)):
-            # 2^a * u lies in [2^k, 2^(k+1)) iff u lies in [2^(k-a), 2^(k-a+1)).
+            # 2^a * u lies in [2^k, 2^(k+1)) iff u lies in [2^(k-a), 2^(k-a+1)),
+            # and is at most the bound iff u is at most bound >> a.
             lo = bisect.bisect_left(odd, 1 << (k - a))
-            run = odd[lo : bisect.bisect_left(odd, 2 << (k - a), lo)]
+            run = odd[lo : bisect.bisect_left(odd, min(2 << (k - a), (bound >> a) + 1), lo)]
             segment.extend(map(a.__rlshift__, run) if a else run)
         segment.sort()
         if 1 << k <= n:

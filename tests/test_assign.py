@@ -1,19 +1,21 @@
 import dataclasses
+import hashlib
 import multiprocessing
 import random
 
 import pytest
 
+import grimm.arith
 import grimm.assign
 from grimm.arith import Window, default_sieve, representation_threshold
 from grimm.assign import (
-    SCAN_POOL_MIN_ROWS,
     exact_representation_exists,
     g_of_m,
     grimm_assignment,
     scan_counterexamples,
     w_of_m,
 )
+from grimm.cli import EXIT_FINDINGS, run
 from grimm.conjectures import verify_grimm_range
 from grimm.coprime import CanonicalRow, InternalContradiction, verify_representation
 from oracles import exact_representation_feasible, grimm_feasible
@@ -211,27 +213,24 @@ def test_scan_empty_and_degenerate():
     assert scan_counterexamples((50, 40), (1, 5)) == []
     with pytest.raises(ValueError):
         scan_counterexamples((0, 10), (1, 5))
+    # a window of one composite is its own part > 1; H(1) is not enumerated
+    assert scan_counterexamples((1, 1), (1, 1)) == []
+    assert scan_counterexamples((1, 500), (0, 1)) == []
+    assert scan_counterexamples((1, 1), (1, 12)) == []  # n_max clamps to m_max = 1
 
 
-def test_scan_worker_independence():
-    # wide enough for several fixed-size chunks
-    solo = scan_counterexamples((1, 4500), (1, 8), workers=1)
-    duo = scan_counterexamples((1, 4500), (1, 8), workers=2)
-    assert solo == duo
-
-
-def test_scan_pool_only_for_large_rectangles(monkeypatch):
-    pools = []
-    real = grimm.assign.multiprocessing.Pool
-    monkeypatch.setattr(
-        grimm.assign.multiprocessing, "Pool", lambda n: pools.append(n) or real(n)
+def test_scan_large_rectangle_keeps_the_default_sieve(monkeypatch):
+    # m <= 10^6, n <= 20 gives the findings of the rectangle-wide L column
+    # (305 windows, digest taken from it), and the shared sieve stays at its
+    # default limit.
+    monkeypatch.setattr(grimm.arith, "_sieve", None)
+    hits = scan_counterexamples((1, 10**6), (1, 20))
+    digest = hashlib.sha256(repr([(c.m, c.n, c.blocking_value) for c in hits]).encode())
+    assert len(hits) == 305
+    assert digest.hexdigest() == (
+        "1fac39b2640dc57323928b4b3822d7969c97c9bd7cfa853f54a8075e94301850"
     )
-    solo = scan_counterexamples((1, 4500), (1, 8), workers=1)
-    assert scan_counterexamples((1, 4500), (1, 8), workers=2) == solo
-    assert pools == []  # below SCAN_POOL_MIN_ROWS: in-process
-    monkeypatch.setattr(grimm.assign, "SCAN_POOL_MIN_ROWS", 1000)
-    assert scan_counterexamples((1, 4500), (1, 8), workers=2) == solo
-    assert pools == [2]
+    assert default_sieve().limit == 10**6
 
 
 @pytest.fixture
@@ -266,13 +265,16 @@ def test_verify_pool_holds_at_most_one_worker_per_block(pool_sizes):
     assert pool_sizes == [blocks, 2]
 
 
-def test_scan_pool_holds_at_most_one_worker_per_block(pool_sizes):
-    rows = SCAN_POOL_MIN_ROWS
-    solo = scan_counterexamples((1, rows), (1, 8))
-    assert scan_counterexamples((1, rows), (1, 8), workers=64) == solo
-    assert pool_sizes == [rows // 2048]
-    assert scan_counterexamples((2, rows), (1, 8), workers=64) == solo
-    assert pool_sizes == [rows // 2048]  # one row short: in-process
+def test_scan_worker_independence(pool_sizes, capsys):
+    # --workers is accepted and has no effect on scan: no pool is started
+    reports = []
+    for workers in ("1", "2", "64"):
+        argv = ["scan", "--m-max", "4500", "--n-max", "8", "--workers", workers]
+        assert run(argv) == EXIT_FINDINGS
+        reports.append(capsys.readouterr().out)
+    assert pool_sizes == []
+    assert reports[0] == reports[1] == reports[2]
+    assert "findings (4)" in reports[0]
 
 
 def corrupt_canonical(monkeypatch):

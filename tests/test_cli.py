@@ -255,7 +255,7 @@ def test_worker_default_from_environment(monkeypatch, capsys):
 
 def test_sieve_guard_is_usage_error(capsys):
     # refused before the table is allocated: a 10^10 sieve would take over 100 GB
-    code = run(["scan", "--m-max", "10000000000", "--n-max", "2"])
+    code = run(["verify", "--limit", "10000000000"])
     captured = capsys.readouterr()
     assert code == EXIT_ERROR
     assert captured.out == ""

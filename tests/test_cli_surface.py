@@ -174,7 +174,9 @@ def test_parsed_arguments(monkeypatch, argv, own):
     (("w", "--m", "5", "--cap", "10001"), "W_CAP_GUARD"),
     (("conjecture2", "--part", "i", "--n-min", "100", "--n-max", "100"), "SUBSET_GUARD"),
     (("factorize", "--m", str(2**64), "--n", "1"), "FACTORIZATION_BOUND"),
-    (("scan", "--m-max", str(10**10), "--n-max", "2"), "SIEVE_GUARD"),
+    (("verify", "--limit", str(10**10)), "SIEVE_GUARD"),
+    (("scan", "--m-max", str(10**30), "--n-max", "50"), "FACTORIZATION_BOUND"),
+    (("scan", "--m-max", str(10**9), "--n-max", "100"), "ENUMERATION_GUARD"),
 ])
 def test_guard_errors_name_their_guard(capsys, argv, guard):
     assert run(list(argv)) == EXIT_ERROR

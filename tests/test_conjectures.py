@@ -7,7 +7,7 @@ import grimm.arith
 import grimm.assign
 import grimm.conjectures
 from grimm.arith import InternalContradiction, Window, largest_prime_factors
-from grimm.assign import exact_representation_exists, grimm_assignment, map_blocks
+from grimm.assign import exact_representation_exists, grimm_assignment
 from grimm.conjectures import (
     BLOCK_SPAN,
     CompositeRun,
@@ -19,6 +19,7 @@ from grimm.conjectures import (
     cramer_gap_report,
     cramer_gap_scan,
     enumerate_composite_runs,
+    map_blocks,
     verify_grimm_range,
     verify_small_windows,
 )

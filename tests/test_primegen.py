@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from grimm.arith import is_prime, probable_prime
+from grimm.arith import default_sieve, is_prime, probable_prime
 from grimm.arith import _mr_random  # noqa: F401  (cross-check helper)
 import grimm.primegen
 from grimm.primegen import (
@@ -216,3 +216,12 @@ def test_band_primes_match_naive_walk():
         assert band_primes(lo, 2 * lo) == [x for x in range(lo, 2 * lo) if naive_is_prime(x)]
     lo = 500_009
     assert band_primes(lo, 2 * lo) == [x for x in range(lo, 2 * lo) if probable_prime(x)]
+
+
+def test_band_primes_keep_the_shared_sieve():
+    # sqrt(hi) is past the shared sieve's limit: its primes strike the band
+    # and is_prime confirms the survivors above limit^2
+    before = default_sieve().limit
+    lo = 10**13
+    assert band_primes(lo, lo + 3000) == [x for x in range(lo, lo + 3000) if probable_prime(x)]
+    assert default_sieve().limit == before

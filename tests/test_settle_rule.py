@@ -1,13 +1,11 @@
 """The H(n) settle rule: a window whose elements all carry a prime power
 > n needs no row walk, since its canonical parts are all > 1."""
 
-import multiprocessing
-
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grimm.arith import Window, default_sieve, is_prime, largest_prime_powers
-from grimm.assign import Counterexample, _decide_row, _scan_chunk, scan_counterexamples
+from grimm.assign import Counterexample, _decide_row, scan_counterexamples
 from grimm.coprime import CanonicalRow, construct_representation, verify_representation
 from grimm.smooth import in_hn
 from oracles import naive_factorize
@@ -47,17 +45,6 @@ def test_settle_rule_exhaustive_small():
                 assert any(x <= n and is_prime(x) or in_hn(x, n) for x in window), (m, n)
 
 
-def test_scan_chunks_under_spawn():
-    # Spawned workers start from a fresh import: each chunk builds its own
-    # sieve and column, and nothing comes from an inherited global.
-    blocks = [((lo, lo + 99), (1, 12)) for lo in range(1, 400, 100)]
-    with multiprocessing.get_context("spawn").Pool(2) as pool:
-        spawned = pool.map_async(_scan_chunk, blocks).get(timeout=120)
-    assert spawned == [_scan_chunk(b) for b in blocks]
-    assert sum(spawned, []) == scan_counterexamples((1, 400), (1, 12))
-    assert spawned[1]  # the windows blocked at 120
-
-
 def walk_every_row(m_lo, m_hi, n_hi):
     sieve = default_sieve(m_hi + n_hi + 1)
     tops = largest_prime_powers(m_lo + 1, m_hi + n_hi)
@@ -71,9 +58,8 @@ def walk_every_row(m_lo, m_hi, n_hi):
     return out
 
 
-def test_chunk_row_skip_keeps_every_unsettled_row():
-    # _scan_chunk decides only the rows within n_hi below an element x with
-    # L(x) <= n_hi; both edges (x at offset n_hi, L(x) = n_hi) matter here
-    for n_hi in (8, 11, 17):
-        block = ((1, 20000), (1, n_hi))
-        assert _scan_chunk(block) == walk_every_row(1, 20000, n_hi), n_hi
+def test_hn_rows_keep_every_unsettled_row():
+    # scan decides only the rows within n_hi below a member of H(n_hi) or a
+    # prime <= n_hi; both edges (x at offset n_hi, L(x) = n_hi) matter here
+    for n_hi in (8, 11, 17, 20):
+        assert scan_counterexamples((1, 20000), (1, n_hi)) == walk_every_row(1, 20000, n_hi), n_hi

@@ -2,7 +2,7 @@ from itertools import chain
 
 import pytest
 
-from grimm.arith import representation_threshold
+from grimm.arith import default_sieve, representation_threshold
 from grimm.smooth import (
     ENUMERATION_GUARD,
     enumerate_hn,
@@ -80,6 +80,17 @@ def test_enumeration_guard():
         hn_segments(71)  # at the call, before any segment is asked for
     # the closed form stays available far beyond the enumeration guard
     assert hn_cardinality(200) == vector_count(200) - 1 - 46
+    # the guard is on min(vector_count(n), bound), checked at the call
+    assert list(chain.from_iterable(hn_segments(200, 30))) == [4, 6, 8, 9, 10, 12, 14, 15, 16,
+                                                             18, 20, 21, 22, 24, 25, 26, 27, 28, 30]
+    hn_segments(71, ENUMERATION_GUARD)
+    with pytest.raises(ValueError, match=r"H\(71\) enumeration needs 10000001 .* ENUMERATION_GUARD"):
+        hn_segments(71, ENUMERATION_GUARD + 1)
+    # vector_count(n) > n: a large n is refused before its primes are sieved
+    before = default_sieve().limit
+    with pytest.raises(ValueError, match="ENUMERATION_GUARD"):
+        hn_segments(10**8, 10**9)
+    assert default_sieve().limit == before
 
 
 def test_invalid_n():
@@ -117,3 +128,14 @@ def test_membership_by_bisection():
         assert (x in hs) == (x in members), x
     assert 27720 in hs and 27721 not in hs
     assert 0 not in enumerate_hn(2)
+
+
+def test_bounded_segments_match_merged_oracle():
+    for n in range(2, 31):
+        expected = merged_hn(n)
+        lcm = representation_threshold(n)
+        for bound in (n, n + 1, 1000, lcm - 1, lcm, 10 * lcm):
+            segments = list(hn_segments(n, bound))
+            got = list(chain.from_iterable(segments))
+            assert got == [x for x in expected if x <= bound], (n, bound)
+            assert all(segments), (n, bound)
