@@ -277,6 +277,30 @@ def test_scan_worker_independence(pool_sizes, capsys):
     assert "findings (4)" in reports[0]
 
 
+def test_scan_pool_only_for_large_rectangles(pool_sizes, capsys):
+    # scan has no pool at any size: 2^15 rows, the size that used to start
+    # one, runs in-process like 4500 rows
+    for rows in (4500, 1 << 15):
+        solo = scan_counterexamples((1, rows), (1, 8))
+        argv = ["scan", "--m-max", str(rows), "--n-max", "8", "--workers", "2"]
+        assert run(argv) == EXIT_FINDINGS
+        assert f"findings ({len(solo)})" in capsys.readouterr().out
+    assert pool_sizes == []
+
+
+def test_scan_pool_holds_at_most_one_worker_per_block(pool_sizes, capsys):
+    # scan decides its rows in one pass with no blocks, so --workers 64
+    # holds no worker, with or without the first row
+    rows = 1 << 15
+    for m_min in (1, 2):
+        solo = scan_counterexamples((m_min, rows), (1, 8))
+        argv = ["scan", "--m-min", str(m_min), "--m-max", str(rows),
+                "--n-max", "8", "--workers", "64"]
+        assert run(argv) == EXIT_FINDINGS
+        assert f"findings ({len(solo)})" in capsys.readouterr().out
+    assert pool_sizes == []
+
+
 def corrupt_canonical(monkeypatch):
     """Make every canonical certificate claim one power of its first prime
     too many, leaving its parts as they were."""
