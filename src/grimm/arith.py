@@ -101,14 +101,6 @@ class PrimeSieve:
         self._check(x)
         return x >= 2 and not self._spf[x]
 
-    def composite_run(self, m: int, cap: int) -> int:
-        """How many of m+1, m+2, ... are non-prime in a row, at most cap."""
-        if m < 0 or m + cap > self.limit:
-            raise ValueError(f"{m + cap} outside sieve range [0, {self.limit}]")
-        k = bisect.bisect_right(self.primes, m)
-        following = self.primes[k] if k < len(self.primes) else self.limit + 1
-        return min(cap, following - m - 1)
-
     def prime_count(self, x: int) -> int:
         """pi(x), the number of primes <= x."""
         self._check(x)
@@ -328,51 +320,16 @@ def prime_divisors(x: int) -> list[int]:
     return out
 
 
-def _strike_column(lo: int, hi: int, strikes: list[int]) -> list[int]:
-    """A column over x = lo .. hi <= the shared sieve's limit, 1 where
-    nothing strikes.  Each of the ascending strikes q overwrites the
-    multiples of q in turn; then every prime p > sqrt(hi) overwrites the
-    x = c * p it divides, found per cofactor c = x / p.
-    """
-    out = [1] * (hi - lo + 1)
-    for q in strikes:
-        start = -(-lo // q) * q - lo
-        out[start::q] = [q] * len(range(start, len(out), q))
-    primes = default_sieve().primes
-    root = math.isqrt(hi)
-    for c in range(1, hi // (root + 1) + 1):
-        a = bisect.bisect_right(primes, max(root, (lo - 1) // c))
-        for p in primes[a : bisect.bisect_right(primes, hi // c)]:
-            out[c * p - lo] = p
-    return out
-
-
 def largest_prime_powers(lo: int, hi: int) -> list[int]:
     """L(x), the largest prime power dividing x, for x = lo .. hi (L(1) = 1).
 
-    A largest prime power p^v dividing x divides it exactly: p does not
-    divide x / p^v.  Within the shared sieve, the powers of the primes up
-    to sqrt(hi) are struck in ascending order, so each entry ends at the
-    largest of them; then a prime p > sqrt(hi) dividing x overwrites it,
-    since x / p < p bounds every other prime power of x (_strike_column).
-    Beyond the sieve each entry comes from factorize.  Every entry is
-    checked apart from how it was found.
+    Each entry is read off factorize, and every entry is checked apart
+    from it (_check_prime_powers): a largest prime power p^v dividing x
+    divides it exactly, so p does not divide x / p^v.
     """
     if not 1 <= lo <= hi + 1:
         raise ValueError(f"need 1 <= lo <= hi + 1, got lo={lo}, hi={hi}")
-    sieve = default_sieve()
-    if hi > sieve.limit:
-        out = [
-            max((p**e for p, e in factorize(x).items()), default=1) for x in range(lo, hi + 1)
-        ]
-    else:
-        powers = []
-        for p in sieve.primes[: bisect.bisect_right(sieve.primes, math.isqrt(hi))]:
-            q = p
-            while q <= hi:
-                powers.append(q)
-                q *= p
-        out = _strike_column(lo, hi, sorted(powers))
+    out = [max((p**e for p, e in factorize(x).items()), default=1) for x in range(lo, hi + 1)]
     _check_prime_powers(lo, out)
     return out
 
@@ -380,10 +337,11 @@ def largest_prime_powers(lo: int, hi: int) -> list[int]:
 def largest_prime_factors(lo: int, hi: int) -> list[int]:
     """P(x), the largest prime factor of x, for x = lo .. hi (P(1) = 1).
 
-    Within the shared sieve, the primes up to sqrt(hi) are struck in
-    ascending order, so each entry ends at the largest of them dividing x;
-    then the one prime p > sqrt(hi) that can divide x overwrites it
-    (_strike_column).  Beyond the sieve each entry comes from factorize.
+    Within the shared sieve, each prime q <= sqrt(hi) in ascending order
+    overwrites the multiples of q, so each entry ends at the largest of
+    them dividing x; then every prime p > sqrt(hi), the only one that can
+    divide x, overwrites the x = c * p it divides, found per cofactor
+    c = x / p.  Beyond the sieve each entry comes from factorize.
     """
     if not 1 <= lo <= hi + 1:
         raise ValueError(f"need 1 <= lo <= hi + 1, got lo={lo}, hi={hi}")
@@ -391,7 +349,16 @@ def largest_prime_factors(lo: int, hi: int) -> list[int]:
     if hi > sieve.limit:
         return [max(factorize(x), default=1) for x in range(lo, hi + 1)]
     primes = sieve.primes
-    return _strike_column(lo, hi, primes[: bisect.bisect_right(primes, math.isqrt(hi))])
+    root = math.isqrt(hi)
+    out = [1] * (hi - lo + 1)
+    for q in primes[: bisect.bisect_right(primes, root)]:
+        start = -(-lo // q) * q - lo
+        out[start::q] = [q] * len(range(start, len(out), q))
+    for c in range(1, hi // (root + 1) + 1):
+        a = bisect.bisect_right(primes, max(root, (lo - 1) // c))
+        for p in primes[a : bisect.bisect_right(primes, hi // c)]:
+            out[c * p - lo] = p
+    return out
 
 
 def _check_prime_powers(lo: int, qs: list[int]) -> None:

@@ -29,7 +29,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import Window, default_sieve, is_prime, largest_prime_factors, largest_prime_powers
+from .arith import Window, default_sieve, is_prime, largest_prime_factors
 from .assign import (
     RepresentationDecision,
     _check_column,
@@ -37,7 +37,7 @@ from .assign import (
     exact_representation_exists,
     scan_counterexamples,
 )
-from .coprime import InternalContradiction, construct_representation
+from .coprime import dominant_prime_witness
 from .primegen import first_prime
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
@@ -172,9 +172,12 @@ class SmallWindowReport:
     """Exhaustive small-length check below the representation threshold.
 
     Every all-composite window with 2 <= n <= max_n and m <= m_max must
-    admit the full representation.  Windows whose elements all avoid
-    H(max_n) get it from the canonical construction; the others
-    (`fallback_windows`) rely on the matching certificate.
+    admit the full representation.  The failures are decided by
+    scan_counterexamples.  A width-max_n window whose elements all avoid
+    H(max_n) has it by the threshold argument, each element carrying a
+    witness prime checked by floor sums (dominant_prime_witness); the
+    width-max_n windows that meet H(max_n) are listed with their members
+    (`fallback_windows`), and scan decides them.
     """
 
     m_max: int
@@ -188,26 +191,38 @@ class SmallWindowReport:
         return not self.failures
 
 
+def _windows_in_run(k: int, max_n: int) -> int:
+    """The windows of widths 2 .. max_n inside k consecutive integers."""
+    t = min(max(k, 1), max_n)
+    return (t - 1) * (2 * k - t) // 2
+
+
 def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
-    """The failures are those of scan_counterexamples on m <= m_max, 2 <= n <= max_n."""
+    """The failures are those of scan_counterexamples on m <= m_max, 2 <= n <= max_n.
+
+    One pass over the consecutive primes p < q: the rows m = p .. q - 1
+    have the q - m - 1 composites p + 1 .. q - 1 ahead of them, so the gap
+    is counted in closed form, and only its full-width windows are visited.
+    """
     if m_max < 1 or max_n < 1:
         raise ValueError(f"need m_max >= 1 and max_n >= 1, got m_max={m_max}, max_n={max_n}")
-    sieve = default_sieve(m_max + max_n + 1)
-    # An element of an all-composite window lies in H(max_n) iff its
-    # largest prime power is <= max_n.
-    tops = largest_prime_powers(1, m_max + max_n)
+    # A gap that ends past cap holds every full-width window of its rows
+    # m <= m_max, so q is capped there.
+    cap = m_max + max_n + 1
+    ps = default_sieve(cap).primes
+    ends = itertools.chain(itertools.islice(ps, 1, None), [cap])
     checked = 0
     fallback = []
-    for m in range(1, m_max + 1):
-        run = sieve.composite_run(m, max_n)
-        checked += max(run - 1, 0)  # the all-composite widths 2 .. run
-        if run < max_n:
-            continue
-        inside = tuple(x for x, q in enumerate(tops[m : m + max_n], m + 1) if q <= max_n)
-        if inside:
-            fallback.append((m, inside))
-        elif not construct_representation(Window(m, max_n)).all_factors_nontrivial:
-            raise InternalContradiction(f"trivial part on an H({max_n})-free window at m={m}")
+    for p, q in zip(itertools.islice(ps, bisect.bisect_right(ps, m_max)), ends):
+        q = min(q, cap)
+        # The gap's windows, less those starting past m_max: those lie within
+        # its last q - m_max - 2 composites.
+        checked += _windows_in_run(q - p - 1, max_n) - _windows_in_run(q - m_max - 2, max_n)
+        for m in range(p, min(q - 1 - max_n, m_max) + 1):
+            w = Window(m, max_n)
+            inside = tuple(x for x in w.values() if dominant_prime_witness(w, x - m) is None)
+            if inside:
+                fallback.append((m, inside))
     return SmallWindowReport(
         m_max=m_max,
         max_n=max_n,

@@ -195,24 +195,24 @@ def dominant_prime_witness(w: Window, i: int) -> int | None:
     """A prime p with p^(v_p(m+i)) > n, when m+i lies outside H(n).
 
     Such a prime makes m+i the unique valuation maximum in the window, and
-    its exponent in C(m+n, n) is pinned between 1 and v_p(m+i); both facts
-    are re-checked here.  Returns None when m+i is in H(n), is a prime not
-    exceeding n, or is below 2.
+    its exponent in C(m+n, n) is pinned between 1 and v_p(m+i).  Both
+    facts are re-checked here, by floor sums and with v_p(m+i) recounted
+    apart from factorize, so an exponent that factorize over-reports
+    cannot move a member of H(n) out of it.  Returns None when m+i is in
+    H(n), is a prime not exceeding n, or is below 2.
     """
     if not 1 <= i <= w.n:
         raise ValueError(f"index {i} outside 1..{w.n}")
     x = w.m + i
     if x < 2:
         return None
-    witness = None
-    for p, e in factorize(x).items():
-        if p**e > w.n:
-            witness = p
-            break
+    witness = next((p for p, e in factorize(x).items() if p**e > w.n), None)
     if witness is None:
         return None
     e_binom = _vp_binomial(witness, w.m, w.n)
     v_here = _vp(witness, x)
+    if witness**v_here <= w.n:
+        raise InternalContradiction(f"witness {witness} at {x}: {witness}^{v_here} <= n = {w.n}")
     if not 1 <= e_binom <= v_here:
         raise InternalContradiction(
             f"witness {witness} at {x}: coefficient valuation {e_binom}"

@@ -106,10 +106,19 @@ def hn_segments(n: int, bound: int | None = None) -> Iterator[list[int]]:
     """
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
-    if bound is not None and min(n, bound) > ENUMERATION_GUARD:
-        count = bound  # vector_count(n) > n: refused without the primes up to n
+    if bound is None:
+        count = vector_count(n)
     else:
-        count = vector_count(n) if bound is None else min(vector_count(n), bound)
+        # The product stops once it passes the bound, before the primes up
+        # to a large n are sieved; the count is min(vector_count(n), bound).
+        count = 1
+        for p in default_sieve().primes:
+            if p > n or count > bound:
+                break
+            count *= 1 + _max_exponent(p, n)
+        else:
+            count = vector_count(n)
+        count = min(count, bound)
     if count > ENUMERATION_GUARD:
         raise ValueError(
             f"H({n}) enumeration needs {count} exponent vectors, beyond the"

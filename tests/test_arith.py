@@ -289,34 +289,6 @@ def test_prime_divisors_match_naive():
         prime_divisors(0)
 
 
-def test_composite_run_matches_naive_walk():
-    s = PrimeSieve(200)
-    for m in range(0, 180):
-        for cap in (0, 1, 7, 20):
-            run = 0
-            while run < cap and not naive_is_prime(m + run + 1):
-                run += 1
-            assert s.composite_run(m, cap) == run, (m, cap)
-    assert s.composite_run(113, 20) == 13  # 114..126 between primes 113 and 127
-    assert s.composite_run(199, 1) == 1    # no prime left in the table: 200
-    with pytest.raises(ValueError):
-        s.composite_run(190, 11)
-    naive = [naive_is_prime(x) for x in range(302)]
-    for limit in range(0, 301):
-        s = PrimeSieve(limit)
-        top = max(limit, 3)
-        for m in range(0, top + 1):
-            for cap in {0, 1, 7, 20, top - m}:
-                if m + cap > top:
-                    with pytest.raises(ValueError):
-                        s.composite_run(m, cap)
-                    continue
-                run = 0
-                while run < cap and not naive[m + run + 1]:
-                    run += 1
-                assert s.composite_run(m, cap) == run, (limit, m, cap)
-
-
 def test_all_prime_table_and_beyond():
     limit = default_sieve().limit
     assert all_prime([]) and all_prime([2, 3, 999_983])
@@ -382,10 +354,9 @@ def test_prime_power_witness_check_catches_corruption(monkeypatch):
             _check_prime_powers(x, [bad])
     with pytest.raises(InternalContradiction):
         _check_prime_powers(1009**3, [1009**2])
-    # The check runs on every column: a strike that misses the prime 7
-    # leaves 7 and 49 at 1.
-    small = PrimeSieve(100)
-    small.primes = [p for p in small.primes if p != 7]
-    monkeypatch.setattr(grimm.arith, "default_sieve", lambda *args: small)
-    with pytest.raises(InternalContradiction, match="1 is not a prime power exactly dividing 7$"):
+    # The check runs on every column: a factorize that reports the
+    # composite 45 as prime leaves 45 in its entry.
+    real = grimm.arith.factorize
+    monkeypatch.setattr(grimm.arith, "factorize", lambda x: {45: 1} if x == 45 else real(x))
+    with pytest.raises(InternalContradiction, match="45 is not a prime power exactly dividing 45$"):
         largest_prime_powers(1, 50)

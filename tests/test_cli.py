@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 import grimm.arith
 import grimm.cli
+import grimm.coprime
 import grimm.smooth
 from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, run
 from grimm.coprime import InternalContradiction
@@ -331,6 +332,39 @@ def test_crash_is_internal_error_not_findings(monkeypatch, capsys, exc):
     assert error["error"] == type(exc).__name__
     assert error["message"] == str(exc)
     assert error["where"].endswith("in crash")
+
+
+def _zero_valuation_at_1327(monkeypatch):
+    vp_binomial = grimm.coprime._vp_binomial
+    monkeypatch.setattr(
+        grimm.coprime, "_vp_binomial", lambda p, m, n: 0 if m == 1327 else vp_binomial(p, m, n)
+    )
+
+
+def _over_reported_exponent_at_840(monkeypatch):
+    # 840 = 2^3 * 3 * 5 * 7 lies in H(12); reported as 2^4 * 3 * 5 * 7 it
+    # would not, and v_2(C(851, 12)) = 2 passes the floor-sum clause
+    factorize = grimm.coprime.factorize
+    monkeypatch.setattr(
+        grimm.coprime, "factorize",
+        lambda x: {2: 4, 3: 1, 5: 1, 7: 1} if x == 840 else factorize(x),
+    )
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (_zero_valuation_at_1327, "witness 2 at 1328: coefficient valuation 0 outside [1, 4]"),
+    (_over_reported_exponent_at_840, "witness 2 at 840: 2^3 <= n = 12"),
+])
+def test_verify_small_witness_check_exits_3(monkeypatch, capsys, mutate, message):
+    # every width-12 window without an H(12) member has a checked witness per element
+    mutate(monkeypatch)
+    code = run(["verify-small", "--m-max", "2000", "--max-n", "12"])
+    captured = capsys.readouterr()
+    assert code == EXIT_INTERNAL
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert (error["error"], error["message"]) == ("InternalContradiction", message)
 
 
 # Loaded by the interpreter at start-up (the directory is on PYTHONPATH):

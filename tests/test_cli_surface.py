@@ -78,6 +78,10 @@ GOLDEN = [
         "e5e76d7e324a551ef6c530b265f872d9b1efd38341e659945908eb2fb45358b6",
         "50fe85ecc6fb755422905a13030c7cd7254c2c4c610d58a8bc7ff8c97bbd78ba",
         "360e3e8287e93a5406d818e1cf44a5981ac18befbd98d45493087057bae8e624")),
+    (("verify-small", "--m-max", "30000", "--max-n", "12"), 1, (
+        "f2aa77203fca48d3b2319ddfe4986b1c4186ed33fc4531e4e4ada684333efb6a",
+        "b443e8346d1593f20b171a6449393f2cf79121cbfdbd9a55e1eb00fe18f4e9f3",
+        "ae6979f8bc4b644632a7ef4b235aeb724f064d50e952ab0f203d23d1bc93ed85")),
     (("conjecture1", "--m", "113", "--n", "13"), 0, (
         "a811238648bed25e8b686f4f084f132c0da4d9d3669b1e82b6d320ea57bbfbb9",
         "83232937753041746f3480e9775f7e0ef888fd96cf18ef7af62362ffb8e5b9cf",

@@ -313,7 +313,7 @@ def test_small_windows_full_check():
     assert report.fallback_windows == [(139, (140,)), (203, (210,))]
 
 
-@pytest.mark.parametrize("m_max", [1, 2, 5, 150, 1000])
+@pytest.mark.parametrize("m_max", [1, 2, 5, 150, 1000, 1340, 1361])
 @pytest.mark.parametrize("max_n", [1, 2, 3, 7, 12])
 def test_small_windows_match_oracle(m_max, max_n):
     def all_composite(m, n):

@@ -4,11 +4,11 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grimm.arith import Window, default_sieve, is_prime, largest_prime_powers
+from grimm.arith import Window, is_prime, largest_prime_powers
 from grimm.assign import Counterexample, _decide_row, scan_counterexamples
 from grimm.coprime import CanonicalRow, construct_representation, verify_representation
 from grimm.smooth import in_hn
-from oracles import naive_factorize
+from oracles import naive_factorize, naive_is_prime
 
 PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples=150)
 
@@ -46,11 +46,13 @@ def test_settle_rule_exhaustive_small():
 
 
 def walk_every_row(m_lo, m_hi, n_hi):
-    sieve = default_sieve(m_hi + n_hi + 1)
+    composite = [not naive_is_prime(x) for x in range(m_hi + n_hi + 1)]
     tops = largest_prime_powers(m_lo + 1, m_hi + n_hi)
     out = []
     for m in range(m_lo, m_hi + 1):
-        run = sieve.composite_run(m, n_hi)
+        run = 0  # the composites m+1, m+2, ... in a row, at most n_hi
+        while run < n_hi and composite[m + run + 1]:
+            run += 1
         k = m - m_lo
         for n, blocking in _decide_row(m, 1, run, tops[k : k + run]):
             if blocking is not None:

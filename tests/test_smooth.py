@@ -91,6 +91,11 @@ def test_enumeration_guard():
     with pytest.raises(ValueError, match="ENUMERATION_GUARD"):
         hn_segments(10**8, 10**9)
     assert default_sieve().limit == before
+    # the count stops once it passes the bound, so a bounded n past the
+    # shared sieve is refused without growing it
+    with pytest.raises(ValueError, match=r"H\(3000000\) enumeration needs 20000000 .* = 10000000$"):
+        hn_segments(3 * 10**6, 2 * 10**7)
+    assert default_sieve().limit == before
 
 
 def test_invalid_n():
