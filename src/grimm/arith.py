@@ -16,11 +16,12 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress
 
-# The 7-base strong-probable-prime test is deterministic below this bound
-# (well above 2^64).
+# Strong-test witness sets, each proven below its bound: Sinclair's 7 bases below
+# 2^64, the prime bases 2..41 below psi_13 (Sorenson & Webster, Math. Comp. 2017).
 DETERMINISTIC_PRIMALITY_BOUND = 3_317_044_064_679_887_385_961_981
-_MR_BASES = (2, 325, 9375, 28178, 450775, 9780504, 1795265022)
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_BASES = ((1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
+             (DETERMINISTIC_PRIMALITY_BOUND, (*_SMALL_PRIMES, 41)))
 
 # Factorization is guaranteed to terminate for inputs below 2^64.
 FACTORIZATION_BOUND = 1 << 64
@@ -147,8 +148,8 @@ def default_sieve(min_limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeSieve:
 def is_prime(x: int) -> bool:
     """Deterministic primality for 0 <= x < DETERMINISTIC_PRIMALITY_BOUND.
 
-    Strong-probable-prime test over a fixed witness set with no error
-    anywhere below the bound (which covers the full 64-bit range).
+    Strong-probable-prime test over the witness set proven for x's range
+    (_MR_BASES): 7 bases below 2^64, the prime bases 2..41 up to the bound.
     """
     if x < 2:
         return False
@@ -156,11 +157,10 @@ def is_prime(x: int) -> bool:
         if x % p == 0:
             return x == p
     if x >= DETERMINISTIC_PRIMALITY_BOUND:
-        raise ValueError(
-            f"{x} exceeds the deterministic witness bound; use probable_prime"
-        )
+        raise ValueError(f"{x} exceeds the deterministic witness bound; use probable_prime")
     d, s = _odd_part(x - 1)
-    return all(a % x == 0 or _sprp(x, a, d, s) for a in _MR_BASES)
+    bases = next(bases for bound, bases in _MR_BASES if x < bound)
+    return all(a % x == 0 or _sprp(x, a, d, s) for a in bases)
 
 
 def _odd_part(y: int) -> tuple[int, int]:
@@ -199,11 +199,11 @@ def _mr_random(x: int, rounds: int, seed: int) -> bool:
 def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
     """Primality for arbitrary-size integers.
 
-    Below the deterministic witness bound this is exact.  Above it: trial
-    division by the primes under 10^4, one strong round to base 2, then
-    `rounds` seeded random-base rounds (reproducible; composite error below
-    4^(-rounds)).  A failed base-2 round proves x composite; a pass still
-    faces every random round.
+    Below DETERMINISTIC_PRIMALITY_BOUND this is is_prime, proven exact.
+    Above it: trial division by the primes under 10^4, one strong round to
+    base 2, then `rounds` seeded random-base rounds (reproducible; composite
+    error below 4^(-rounds)).  A failed base-2 round proves x composite; a
+    pass still faces every random round.
     """
     if x < DETERMINISTIC_PRIMALITY_BOUND:
         return is_prime(x)

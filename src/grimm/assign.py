@@ -162,14 +162,10 @@ def _decide(row: CanonicalRow) -> RepresentationDecision:
         i = taken.get(p, first[p])
         factors[i - 1] *= p**e
         assignment.append((p, e, i))
-    cert = CoprimeRepresentation(
-        window=w, factors=tuple(factors), assignment=tuple(assignment)
-    )
+    cert = CoprimeRepresentation(window=w, factors=tuple(factors), assignment=tuple(assignment))
     if not (cert.all_factors_nontrivial and verify_representation(cert)):
         raise InternalContradiction(f"saturating matching gave a bad certificate at {w}")
-    return RepresentationDecision(
-        window=w, feasible=True, certificate=cert, blocking=None
-    )
+    return RepresentationDecision(window=w, feasible=True, certificate=cert, blocking=None)
 
 
 def exact_representation_exists(w: Window) -> RepresentationDecision:
@@ -243,10 +239,7 @@ def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
     verify_representation, and the rest go to the matching on the same
     row, which supplies the blocking evidence.
     """
-    n0 = next(
-        (n for n, low in enumerate(accumulate(tops, min), 1) if low <= n),
-        n_hi + 1,
-    )
+    n0 = next((n for n, low in enumerate(accumulate(tops, min), 1) if low <= n), n_hi + 1)
     for n in range(n_lo, n0):
         yield n, None
     start = max(n_lo, n0)

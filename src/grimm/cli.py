@@ -218,8 +218,8 @@ def _scan(args):
 
 @_subcommand("hn", "the set H(n) of bounded-prime-power composites",
              _int("--n", required=True), ("--count-only", {"action": "store_true"}),
-             csv=(("element",), lambda p: (  # one joined block per _JSON_BLOCK members
-                 "\n".join(map(str, block)) for block in _blocks(p.get("elements", ())))))
+             csv=(("element",), lambda p: (  # one formatted block per segment slice
+                 _ints("\n", block) for block in _blocks(p.get("elements", ())))))
 def _hn(args):
     payload = {"n": args.n, "cardinality": hn_cardinality(args.n)}
     if not args.count_only:
@@ -242,11 +242,11 @@ class _HnMembers:
         return self.count
 
     def __iter__(self):
-        return chain.from_iterable(self._checked(hn_segments(self.n)))
+        return chain.from_iterable(self._checked())
 
-    def _checked(self, segments):
+    def _checked(self):
         count = last = 0
-        for segment in segments:
+        for segment in hn_segments(self.n):
             count += len(segment)
             last = segment[-1]
             yield segment
@@ -378,10 +378,16 @@ _LISTS = (list, tuple, _HnMembers)
 
 
 def _blocks(items):
-    """Lists of at most _JSON_BLOCK items, read from items to its end."""
-    items = iter(items)
-    while block := list(islice(items, _JSON_BLOCK)):
-        yield block
+    """Slices of at most _JSON_BLOCK items: of each checked H(n) segment, or of a list."""
+    for run in items._checked() if isinstance(items, _HnMembers) else (items,):
+        for i in range(0, len(run), _JSON_BLOCK):
+            yield run[i : i + _JSON_BLOCK]
+        del run  # an H(n) segment is released before the next is built
+
+
+def _ints(sep: str, block) -> str:
+    """Exact ints joined by sep, in one C-level format with no str per item."""
+    return sep.join(["%d"] * len(block)) % tuple(block)
 
 
 def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
@@ -389,7 +395,8 @@ def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
     `level` deep, in parts.
 
     json.dumps with an indent encodes in pure Python, one chunk per list
-    item; here a block of plain ints becomes one join over int.__str__.
+    item; here a block of exact ints is one "%d" format (_ints), and the
+    members of H(n), products of ints, skip the per-block type test.
     Scalars and keys still go through json.dumps, so the text is the same.
     """
     inner = "\n" + "  " * (level + 1)
@@ -411,11 +418,12 @@ def _emit_json(value, level: int, write: Callable[[str], object]) -> None:
         write(json.dumps(value))
         return
     opened = False
+    ints = isinstance(value, _HnMembers)
     for block in _blocks(value):
         write(sep if opened else "[" + inner)
         opened = True
-        if set(map(type, block)) == {int}:  # exact ints: bools render as true/false
-            write(sep.join(map(str, block)))
+        if ints or set(map(type, block)) == {int}:  # exact ints: bools render as true/false
+            write(_ints(sep, block))
             continue
         for i, item in enumerate(block):
             if i:

@@ -37,7 +37,7 @@ from .assign import (
     exact_representation_exists,
     scan_counterexamples,
 )
-from .coprime import dominant_prime_witness
+from .coprime import _checked_witness, _witness
 from .primegen import first_prime
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
@@ -131,9 +131,7 @@ def map_blocks(fn, blocks: list, workers: int) -> list:
     return [item for piece in pieces for item in piece]
 
 
-def verify_grimm_range(
-    limit: int, min_len: int = 1, workers: int = 1
-) -> VerificationReport:
+def verify_grimm_range(limit: int, min_len: int = 1, workers: int = 1) -> VerificationReport:
     """Check the distinct-prime assignment on every maximal composite run
     within the limit.
 
@@ -175,7 +173,7 @@ class SmallWindowReport:
     admit the full representation.  The failures are decided by
     scan_counterexamples.  A width-max_n window whose elements all avoid
     H(max_n) has it by the threshold argument, each element carrying a
-    witness prime checked by floor sums (dominant_prime_witness); the
+    witness prime checked by floor sums (as in dominant_prime_witness); the
     width-max_n windows that meet H(max_n) are listed with their members
     (`fallback_windows`), and scan decides them.
     """
@@ -218,9 +216,11 @@ def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
         # The gap's windows, less those starting past m_max: those lie within
         # its last q - m_max - 2 composites.
         checked += _windows_in_run(q - p - 1, max_n) - _windows_in_run(q - m_max - 2, max_n)
-        for m in range(p, min(q - 1 - max_n, m_max) + 1):
+        top = min(q - 1 - max_n, m_max)
+        found = {x: _witness(x, max_n) for x in range(p + 1, top + max_n + 1)} if top >= p else {}
+        for m in range(p, top + 1):
             w = Window(m, max_n)
-            inside = tuple(x for x in w.values() if dominant_prime_witness(w, x - m) is None)
+            inside = tuple(x for x in w.values() if _checked_witness(w, x, found[x]) is None)
             if inside:
                 fallback.append((m, inside))
     return SmallWindowReport(

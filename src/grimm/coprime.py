@@ -196,26 +196,37 @@ def dominant_prime_witness(w: Window, i: int) -> int | None:
 
     Such a prime makes m+i the unique valuation maximum in the window, and
     its exponent in C(m+n, n) is pinned between 1 and v_p(m+i).  Both
-    facts are re-checked here, by floor sums and with v_p(m+i) recounted
-    apart from factorize, so an exponent that factorize over-reports
-    cannot move a member of H(n) out of it.  Returns None when m+i is in
-    H(n), is a prime not exceeding n, or is below 2.
+    facts are re-checked: v_p(m+i) by _witness, the exponent by floor sums.
+    Returns None when m+i is in H(n), is a prime not exceeding n, or is
+    below 2.
     """
     if not 1 <= i <= w.n:
         raise ValueError(f"index {i} outside 1..{w.n}")
-    x = w.m + i
-    if x < 2:
+    return _checked_witness(w, w.m + i, _witness(w.m + i, w.n))
+
+
+def _witness(x: int, n: int) -> tuple[int, int] | None:
+    """(p, v_p(x)) for the first prime p of x with p^v_p(x) > n; None for x in
+    H(n), a prime <= n, or x < 2.  v_p(x) is recounted apart from factorize,
+    so an over-reported exponent cannot move a member of H(n) out of it.  No
+    window enters, so a walk finds it once per element."""
+    p = next((p for p, e in factorize(x).items() if p**e > n), None) if x >= 2 else None
+    if p is None:
         return None
-    witness = next((p for p, e in factorize(x).items() if p**e > w.n), None)
-    if witness is None:
+    v = _vp(p, x)
+    if p**v <= n:
+        raise InternalContradiction(f"witness {p} at {x}: {p}^{v} <= n = {n}")
+    return p, v
+
+
+def _checked_witness(w: Window, x: int, found: tuple[int, int] | None) -> int | None:
+    """The prime of found = _witness(x, w.n), once its exponent in
+    C(m+n, n) is checked by floor sums to lie in [1, v_p(x)]."""
+    if found is None:
         return None
-    e_binom = _vp_binomial(witness, w.m, w.n)
-    v_here = _vp(witness, x)
-    if witness**v_here <= w.n:
-        raise InternalContradiction(f"witness {witness} at {x}: {witness}^{v_here} <= n = {w.n}")
-    if not 1 <= e_binom <= v_here:
+    p, v = found
+    e = _vp_binomial(p, w.m, w.n)
+    if not 1 <= e <= v:
         raise InternalContradiction(
-            f"witness {witness} at {x}: coefficient valuation {e_binom}"
-            f" outside [1, {v_here}]"
-        )
-    return witness
+            f"witness {p} at {x}: coefficient valuation {e} outside [1, {v}]")
+    return p

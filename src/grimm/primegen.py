@@ -136,9 +136,7 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
         if found is not None:
             break
     if found is None:
-        raise NoFeasiblePool(
-            f"no subset of {len(cand)} candidates reaches {bits} bits"
-        )
+        raise NoFeasiblePool(f"no subset of {len(cand)} candidates reaches {bits} bits")
     return PrimePool(primes=tuple(found))
 
 
@@ -165,14 +163,8 @@ def band_primes(lo: int, hi: int) -> list[int]:
     return [x for x in compress(range(lo, hi), alive) if x <= sieve.limit**2 or is_prime(x)]
 
 
-def first_prime(
-    start: int,
-    count: int,
-    order,
-    depth: int,
-    rounds: int = DEFAULT_MR_ROUNDS,
-    seed: int = 0,
-) -> int | None:
+def first_prime(start: int, count: int, order, depth: int,
+                rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0) -> int | None:
     """The first probable prime among start + i, taken over the indices
     0 <= i < count in the order `order` (which may skip some); None when
     there is none.
@@ -192,9 +184,7 @@ def first_prime(
     return None
 
 
-def sweep(
-    k: int, p1: int, mr_rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0
-) -> GenerationResult:
+def sweep(k: int, p1: int, mr_rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0) -> GenerationResult:
     """Test k+2, k-2, k+4, k-4, ... out to +/- 2*floor(p1/2) for primality.
 
     k must be odd (pools containing 2 make the even offsets pointless).
@@ -209,9 +199,7 @@ def sweep(
         raise ValueError("k must be odd")
     half = p1 // 2
     order = (2 * (half + sign * j) for j in range(1, half + 1) for sign in (1, -1))
-    prime = first_prime(
-        k - 2 * half, 4 * half + 1, order, DEFAULT_SIEVE_LIMIT, mr_rounds, seed
-    )
+    prime = first_prime(k - 2 * half, 4 * half + 1, order, DEFAULT_SIEVE_LIMIT, mr_rounds, seed)
     return GenerationResult(
         k=k,
         offset=None if prime is None else prime - k,

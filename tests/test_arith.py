@@ -70,6 +70,49 @@ def test_is_prime_width_guard():
     assert DETERMINISTIC_PRIMALITY_BOUND > 2**64
 
 
+PSI_12 = 318_665_857_834_031_151_167_461  # least strong pseudoprime to the primes 2..37
+
+
+def test_is_prime_above_2_64_uses_the_prime_bases(monkeypatch):
+    # psi_12 is a strong probable prime to the primes 2..37; below psi_13 only
+    # base 41 rejects it.  The 7 bases, proven only below 2^64, are not used
+    # above it (28178 would reject psi_12, but proves nothing for others).
+    d, s = _odd_part(PSI_12 - 1)
+    prime_bases = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+    assert 2**64 < PSI_12 < DETERMINISTIC_PRIMALITY_BOUND
+    assert [a for a in prime_bases if not _sprp(PSI_12, a, d, s)] == [41]
+    tried = []
+    monkeypatch.setattr(grimm.arith, "_sprp",
+                        lambda x, a, d, s: tried.append(a) or _sprp(x, a, d, s))
+    assert not is_prime(PSI_12) and tried == list(prime_bases)
+    tried.clear()
+    assert is_prime(2**64 + 13) and tried == list(prime_bases)  # the least prime above 2^64
+    tried.clear()
+    assert is_prime(2**64 - 59) and tried == [2, 325, 9375, 28178, 450775, 9780504, 1795265022]
+    assert not probable_prime(PSI_12)
+
+
+def test_is_prime_band_agrees_with_random_rounds():
+    # On [2^64, psi_13) probable_prime hands x to is_prime, so its verdict is
+    # compared with the 64 seeded random-base rounds it runs above the bound
+    # and with the 7 bases that are proven only below 2^64.
+    rng = random.Random(1713)
+    sinclair = grimm.arith._MR_BASES[0][1]
+    primes = 0
+    for _ in range(150):
+        x = rng.randrange(2**64, DETERMINISTIC_PRIMALITY_BOUND) | 1
+        while True:  # every odd number up to the next prime
+            d, s = _odd_part(x - 1)
+            verdict = is_prime(x)
+            assert verdict == grimm.arith._mr_random(x, 64, 0)
+            assert verdict == all(_sprp(x, a, d, s) for a in sinclair)
+            if verdict:
+                primes += 1
+                break
+            x += 2
+    assert primes == 150
+
+
 def test_probable_prime_agrees_on_64bit():
     rng = random.Random(9001)
     for _ in range(1000):

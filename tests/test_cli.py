@@ -498,9 +498,11 @@ def test_real_reports_render_as_json_dumps(monkeypatch, tmp_path, argv):
 
 
 # sha256 of `grimm hn --n 30` in CSV and text, recorded from the renderer
-# that built one row dict per member and dumped whole lists before cutting.
+# that built one row dict per member and dumped whole lists before cutting;
+# JSON recorded from the renderer that joined int.__str__ over each block.
 HN30_SHA = {
     "csv": "eb29576b3a57de6c400d982f877dfa0dcea7357cd5ff3f93dfd71fa2c6ce9a30",
+    "json": "e1509b661e5588d7619c9f3667deed043222a86e8f3eafdcd0bcc9888837e172",
     "text": "8fff331ec712fe1daefd57fbe424a01b4fd8335eacb4fbfdc974a7e58ccf838b",
 }
 
@@ -513,6 +515,32 @@ def test_hn_report_bytes(monkeypatch, capsys, fmt, block):
     code, out = run_capture(capsys, "hn", "--n", "30", "--format", fmt)
     assert code == EXIT_OK
     assert hashlib.sha256(out.encode()).hexdigest() == HN30_SHA[fmt]
+
+
+def test_hn_blocks_cut_at_segment_ends(monkeypatch, capsys):
+    # Blocks are slices of each segment: with 7 members a block, most
+    # segments of H(30) end inside a block's span, and the report still
+    # reads as json.dumps of the members and as one CSV row per member.
+    segments = list(grimm.smooth.hn_segments(30))
+    assert sum(len(s) % 7 != 0 for s in segments) > len(segments) // 2
+    members = [x for s in segments for x in s]
+    whole = {fmt: run_capture(capsys, "hn", "--n", "30", "--format", fmt)[1]
+             for fmt in ("json", "csv")}
+    monkeypatch.setattr(grimm.cli, "_JSON_BLOCK", 7)
+    calls = _tee_writes(monkeypatch)
+    for fmt in ("json", "csv"):
+        code, out = run_capture(capsys, "hn", "--n", "30", "--format", fmt)
+        assert code == EXIT_OK and out == whole[fmt]
+    (json_report, json_parts), (csv_report, csv_parts) = calls
+    for report in (json_report, csv_report):
+        report["result"]["elements"] = members
+    assert "".join(json_parts) == _dumps(json_report)
+    assert "".join(json_parts) == grimm.cli.render_report(json_report, "json")
+    assert "".join(csv_parts) == grimm.cli.render_report(csv_report, "csv")
+    header, *rows = csv_parts
+    assert header.endswith("\nelement\n") and "".join(rows) == "".join(f"{x}\n" for x in members)
+    # one CSV part per block, and a block never reaches into the next segment
+    assert len(rows) == sum(-(-len(s) // 7) for s in segments)
 
 
 def _tee_writes(monkeypatch):

@@ -337,6 +337,38 @@ def test_small_windows_match_oracle(m_max, max_n):
     assert report.fallback_windows == fallback
 
 
+# fallback_windows and windows_checked as the per-window witness walk gave them
+SMALL_WINDOW_PINS = {
+    (5000, 12): (19000, [
+        (113, (120,)), (114, (120, 126)), (318, (330,)), (839, (840,)), (1259, (1260,)),
+        (1381, (1386,)), (1382, (1386,)), (1383, (1386,)), (1384, (1386,)), (1385, (1386,)),
+        (1847, (1848,)), (2508, (2520,)), (3948, (3960,)), (3949, (3960,)), (3950, (3960,)),
+        (3951, (3960,)), (3952, (3960,)), (3953, (3960,)), (3954, (3960,)), (4608, (4620,)),
+    ]),
+    (20000, 9): (78601, [
+        (113, (120,)), (114, (120,)), (115, (120,)), (116, (120,)), (117, (120, 126)),
+        (139, (140,)), (201, (210,)), (621, (630,)), (839, (840,)), (1259, (1260,)),
+        (2511, (2520,)),
+    ]),
+}
+
+
+@pytest.mark.parametrize("m_max, max_n", sorted(SMALL_WINDOW_PINS))
+def test_small_windows_find_each_witness_once(monkeypatch, m_max, max_n):
+    # One witness search (one factorize) per element of a full-width
+    # window, however many of those windows hold it.
+    searched = []
+    witness = grimm.conjectures._witness
+    monkeypatch.setattr(grimm.conjectures, "_witness",
+                        lambda x, n: searched.append(x) or witness(x, n))
+    report = verify_small_windows(m_max, max_n)
+    assert (report.windows_checked, report.fallback_windows) == SMALL_WINDOW_PINS[m_max, max_n]
+    sieve = grimm.arith.default_sieve()
+    windows = [range(m + 1, m + max_n + 1) for m in range(1, m_max + 1)]
+    full = {x for w in windows if not any(map(sieve.is_prime, w)) for x in w}
+    assert sorted(searched) == sorted(full)
+
+
 def test_conjecture1_fixtures():
     assert not conjecture1_probe(Window(116, 10)).feasible
     assert conjecture1_probe(Window(203, 7)).feasible

@@ -144,3 +144,14 @@ def test_bounded_segments_match_merged_oracle():
             got = list(chain.from_iterable(segments))
             assert got == [x for x in expected if x <= bound], (n, bound)
             assert all(segments), (n, bound)
+
+
+def test_segment_members_are_exact_ints():
+    # The hn report formats each block of members with "%d" and no per-block
+    # type test, which is exact only for ints: no bool and no int subclass.
+    for n in range(2, 41):
+        lcm = representation_threshold(n)
+        for bound in (None, n, 1000, lcm - 1, 10 * lcm):
+            for segment in hn_segments(n, bound):
+                assert type(segment) is list, (n, bound)
+                assert all(type(x) is int for x in segment), (n, bound)
