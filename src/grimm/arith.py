@@ -298,40 +298,22 @@ def factorize(x: int) -> dict[int, int]:
 
 
 def prime_divisors(x: int) -> list[int]:
-    """The distinct primes dividing x >= 1, ascending.
+    """The distinct primes dividing x >= 1, ascending."""
+    return list(factorize(x))
 
-    Within the shared sieve this walks the smallest-prime-factor table
-    without building an exponent map; beyond it, the primes of factorize.
+
+def largest_prime_power(x: int) -> tuple[int, int]:
+    """(p, v) with p^v = L(x), the largest prime power dividing x >= 2.
+
+    p is the prime of factorize(x) with the largest p^e, checked apart from
+    it: p is prime (all_prime: the sieve's table within it, is_prime beyond),
+    and e is v_p(x) recounted by division.  A misreported factor raises
+    InternalContradiction.
     """
-    sieve = default_sieve()
-    if not 1 <= x <= sieve.limit:
-        return list(factorize(x))
-    spf = sieve._spf
-    out = []
-    p = spf[x]
-    while p:
-        out.append(p)
-        x //= p
-        while x % p == 0:
-            x //= p
-        p = spf[x]
-    if x > 1:
-        out.append(x)
-    return out
-
-
-def largest_prime_powers(lo: int, hi: int) -> list[int]:
-    """L(x), the largest prime power dividing x, for x = lo .. hi (L(1) = 1).
-
-    Each entry is read off factorize, and every entry is checked apart
-    from it (_check_prime_powers): a largest prime power p^v dividing x
-    divides it exactly, so p does not divide x / p^v.
-    """
-    if not 1 <= lo <= hi + 1:
-        raise ValueError(f"need 1 <= lo <= hi + 1, got lo={lo}, hi={hi}")
-    out = [max((p**e for p, e in factorize(x).items()), default=1) for x in range(lo, hi + 1)]
-    _check_prime_powers(lo, out)
-    return out
+    _, p, e = max((p**e, p, e) for p, e in factorize(x).items())
+    if not (all_prime([p]) and _vp(p, x) == e):
+        raise InternalContradiction(f"{p}^{e} is not a prime power exactly dividing {x}")
+    return p, e
 
 
 def largest_prime_factors(lo: int, hi: int) -> list[int]:
@@ -359,36 +341,6 @@ def largest_prime_factors(lo: int, hi: int) -> list[int]:
         for p in primes[a : bisect.bisect_right(primes, hi // c)]:
             out[c * p - lo] = p
     return out
-
-
-def _check_prime_powers(lo: int, qs: list[int]) -> None:
-    """Raise InternalContradiction unless each qs[k] is a prime power p^v
-    dividing lo + k exactly (and qs[k] = 1 at 1).  The base p is read off
-    the sieve's smallest-prime-factor table, or, beyond the sieve, taken as
-    the exact integer root that is prime."""
-    sieve = default_sieve()
-    spf = sieve._spf
-    for x, q in zip(range(lo, lo + len(qs)), qs):
-        if x == 1 and q == 1:
-            continue
-        if q < 2 or x % q:
-            p = 0
-        elif q <= sieve.limit:
-            p = spf[q] or q
-        else:
-            # q = p^v has an exact w-th root only for w dividing v, and
-            # the root for the largest such w is p.
-            p = q
-            for v in range(2, q.bit_length()):
-                r = round(q ** (1 / v))
-                if r**v == q:
-                    p = r
-            p = p if is_prime(p) else 0
-        r = q
-        while p and r % p == 0:
-            r //= p
-        if not p or r != 1 or x // q % p == 0:
-            raise InternalContradiction(f"{q} is not a prime power exactly dividing {x}")
 
 
 def vp(p: int, x: int) -> int:

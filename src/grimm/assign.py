@@ -29,9 +29,8 @@ from .arith import (
     FACTORIZATION_BOUND,
     Window,
     all_prime,
-    factorize,
     largest_prime_factors,
-    largest_prime_powers,
+    largest_prime_power,
     prime_divisors,
 )
 from .coprime import (
@@ -42,7 +41,7 @@ from .coprime import (
 )
 from .matching import augment, max_matching
 from .primegen import band_primes
-from .smooth import hn_cardinality, hn_segments
+from .smooth import hn_segments
 
 
 @dataclass(frozen=True)
@@ -226,8 +225,8 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
 def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
     """(n, blocking evidence or None if feasible) for n = n_lo .. n_hi.
 
-    tops[i-1] is L(m+i), the largest prime power dividing m+i (see
-    largest_prime_powers), or any value > n_hi where L(m+i) is: the scan
+    tops[i-1] is L(m+i), the largest prime power dividing m+i (checked by
+    arith.largest_prime_power), or any value > n_hi where L(m+i) is: the scan
     passes n_max + 1 for the elements outside H(n_max).  A window in which every
     L(m+i) > n is feasible without a walk: the prime power p^v = L(m+i)
     divides m+i exactly and is > n, so m+i is the window's only multiple
@@ -274,7 +273,7 @@ def w_of_m(m: int, cap: int) -> LargestN:
         raise ValueError("need m >= 1 and cap >= 1")
     if cap > W_CAP_GUARD:
         raise ValueError(f"cap {cap} beyond the runtime guard W_CAP_GUARD = {W_CAP_GUARD}")
-    tops = largest_prime_powers(m + 1, m + cap)
+    tops = [pow(*largest_prime_power(x)) for x in range(m + 1, m + cap + 1)]
     bitmap = tuple(blocking is None for _, blocking in _decide_row(m, 1, cap, tops))
     value = max((n for n in range(1, cap + 1) if bitmap[n - 1]), default=0)
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap, feasible=bitmap)
@@ -296,11 +295,10 @@ def scan_counterexamples(
 
     Complete over m in m_range, n in n_range (inclusive bounds), ordered by
     (m, n).  The H(n) lemma leaves a window open only if it holds an x with
-    L(x) <= n_max, a member of H(n_max) (checked by factorize, and counted
-    once the bound m_max + n_max reaches lcm(1..n_max)) or a prime <= n_max,
-    so only the rows x - n_max <= m < x are decided, each up to the next
-    prime that band_primes finds for its run of rows.  A rectangle whose
-    largest element, min(m_max, lcm(1..n_max)) + n_max, reaches
+    L(x) <= n_max (L checked by largest_prime_power), a member of H(n_max)
+    or a prime <= n_max, so only the rows x - n_max <= m < x are decided,
+    each up to the next prime that band_primes finds for its run of rows.
+    A rectangle whose largest element, min(m_max, lcm(1..n_max)) + n_max, reaches
     FACTORIZATION_BOUND is refused before any row is decided.
     """
     m_lo, m_hi = m_range
@@ -320,10 +318,9 @@ def scan_counterexamples(
     if min(m_hi, lcm) + n_hi >= FACTORIZATION_BOUND:
         raise ValueError(f"scan elements reach FACTORIZATION_BOUND = {FACTORIZATION_BOUND}")
     members = list(chain.from_iterable(hn_segments(n_hi, bound)))
-    tops = {x: max(p**e for p, e in factorize(x).items())
+    tops = {x: pow(*largest_prime_power(x))
             for x in chain(band_primes(2, n_hi + 1), members) if x > m_lo}
-    complete = lcm > bound or len(members) == hn_cardinality(n_hi)
-    if max(tops.values(), default=0) > n_hi or not complete:
+    if max(tops.values(), default=0) > n_hi:
         raise InternalContradiction(f"bad enumeration of H({n_hi}) up to {bound}")
     rows = sorted({m for x in tops for m in range(max(m_lo, x - n_hi), min(m_hi, x - 1) + 1)})
     out = []

@@ -172,10 +172,11 @@ class SmallWindowReport:
     Every all-composite window with 2 <= n <= max_n and m <= m_max must
     admit the full representation.  The failures are decided by
     scan_counterexamples.  A width-max_n window whose elements all avoid
-    H(max_n) has it by the threshold argument, each element carrying a
-    witness prime checked by floor sums (as in dominant_prime_witness); the
-    width-max_n windows that meet H(max_n) are listed with their members
-    (`fallback_windows`), and scan decides them.
+    H(max_n) has it by the threshold argument: each element's L(x) > max_n
+    is checked by largest_prime_power, and its prime, the witness, by floor
+    sums (as in dominant_prime_witness); the width-max_n windows that meet
+    H(max_n) are listed with their members (`fallback_windows`), and scan
+    decides them.
     """
 
     m_max: int

@@ -17,10 +17,10 @@ from dataclasses import dataclass
 from .arith import (
     InternalContradiction,
     Window,
-    _vp,
     _vp_binomial,
     all_prime,
     factorize,
+    largest_prime_power,
     representation_threshold,
 )
 from .smooth import in_hn
@@ -192,13 +192,14 @@ def full_representation(w: Window) -> CoprimeRepresentation:
 
 
 def dominant_prime_witness(w: Window, i: int) -> int | None:
-    """A prime p with p^(v_p(m+i)) > n, when m+i lies outside H(n).
+    """The prime p of L(m+i) = p^(v_p(m+i)), the largest prime power of m+i,
+    when L(m+i) > n, that is, when m+i lies outside H(n).
 
     Such a prime makes m+i the unique valuation maximum in the window, and
     its exponent in C(m+n, n) is pinned between 1 and v_p(m+i).  Both
-    facts are re-checked: v_p(m+i) by _witness, the exponent by floor sums.
-    Returns None when m+i is in H(n), is a prime not exceeding n, or is
-    below 2.
+    facts are re-checked: L(m+i) by largest_prime_power, the exponent by
+    floor sums.  Returns None when m+i is in H(n), is a prime not exceeding
+    n, or is below 2.
     """
     if not 1 <= i <= w.n:
         raise ValueError(f"index {i} outside 1..{w.n}")
@@ -206,17 +207,11 @@ def dominant_prime_witness(w: Window, i: int) -> int | None:
 
 
 def _witness(x: int, n: int) -> tuple[int, int] | None:
-    """(p, v_p(x)) for the first prime p of x with p^v_p(x) > n; None for x in
-    H(n), a prime <= n, or x < 2.  v_p(x) is recounted apart from factorize,
-    so an over-reported exponent cannot move a member of H(n) out of it.  No
-    window enters, so a walk finds it once per element."""
-    p = next((p for p, e in factorize(x).items() if p**e > n), None) if x >= 2 else None
-    if p is None:
-        return None
-    v = _vp(p, x)
-    if p**v <= n:
-        raise InternalContradiction(f"witness {p} at {x}: {p}^{v} <= n = {n}")
-    return p, v
+    """(p, v) with p^v = L(x) checked by largest_prime_power, if L(x) > n;
+    None for x in H(n), a prime <= n, or x < 2.  No window enters, so a walk
+    finds it once per element."""
+    p, v = largest_prime_power(x) if x >= 2 else (1, 0)
+    return (p, v) if p**v > n else None
 
 
 def _checked_witness(w: Window, x: int, found: tuple[int, int] | None) -> int | None:

@@ -44,14 +44,27 @@ def max_matching(adj: dict[int, list[int]]) -> list[tuple[int, int]]:
                         queue.append(nxt)
         return reachable
 
-    def dfs(l: int) -> bool:
-        for r in adj[l]:
-            nxt = pair_r.get(r)
-            if nxt is None or (dist[nxt] == dist[l] + 1 and dfs(nxt)):
-                pair_l[l] = r
-                pair_r[r] = l
-                return True
-        dist[l] = _INF
+    def dfs(root: int) -> bool:
+        # Depth-first along the layers, on an explicit stack so that a path's
+        # length is not bounded by the interpreter's recursion limit.
+        trail = [(root, iter(adj[root]))]
+        while trail:
+            l, rights = trail[-1]
+            for r in rights:
+                nxt = pair_r.get(r)
+                if nxt is None:
+                    # From the last left vertex back to the root, each takes the
+                    # right vertex that the one after it held; the last takes r.
+                    for l, _ in reversed(trail):
+                        pair_r[r] = l
+                        pair_l[l], r = r, pair_l.get(l)
+                    return True
+                if dist[nxt] == dist[l] + 1:
+                    trail.append((nxt, iter(adj[nxt])))
+                    break
+            else:
+                dist[l] = _INF
+                trail.pop()
         return False
 
     while bfs():

@@ -18,7 +18,13 @@ from dataclasses import dataclass
 from itertools import chain, islice
 from typing import Iterator
 
-from .arith import default_sieve, factorize, is_prime, representation_threshold
+from .arith import (
+    InternalContradiction,
+    default_sieve,
+    is_prime,
+    largest_prime_power,
+    representation_threshold,
+)
 
 # Enumeration walks every exponent vector; refuse anything bigger.
 ENUMERATION_GUARD = 10**7
@@ -60,9 +66,7 @@ def in_hn(x: int, n: int) -> bool:
     """Membership test: x composite with every maximal prime-power divisor <= n."""
     if x < 2 or n < 2:
         raise ValueError("membership defined for x >= 2, n >= 2")
-    if is_prime(x):
-        return False
-    return all(p**e <= n for p, e in factorize(x).items())
+    return not is_prime(x) and pow(*largest_prime_power(x)) <= n
 
 
 def vector_count(n: int) -> int:
@@ -102,20 +106,26 @@ def hn_segments(n: int, bound: int | None = None) -> Iterator[list[int]]:
     dropped as soon as it is formed.
 
     The guard (as for enumerate_hn, on min(vector_count(n), bound)) is
-    checked here, before the first segment is asked for.
+    checked here, before the first segment is asked for.  A stream of all of
+    H(n) (no bound, or one >= lcm(1..n)) is checked at its end (_checked).
     """
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
     if bound is None:
         count = vector_count(n)
     else:
-        # The product stops once it passes the bound, before the primes up
-        # to a large n are sieved; the count is min(vector_count(n), bound).
-        count = 1
+        # One pass: the count, and lcm(1..n) while it stays <= bound (else 0).
+        # It stops once the count passes the bound, before the primes up to a
+        # large n are sieved; lcm(1..n) >= the count is then past it too.
+        count = lcm = 1
         for p in default_sieve().primes:
-            if p > n or count > bound:
+            if p > n:
                 break
-            count *= 1 + _max_exponent(p, n)
+            e = _max_exponent(p, n)
+            count *= 1 + e
+            lcm = lcm * p**e if lcm <= bound // p**e else 0
+            if count > bound:
+                break
         else:
             count = vector_count(n)
         count = min(count, bound)
@@ -124,7 +134,23 @@ def hn_segments(n: int, bound: int | None = None) -> Iterator[list[int]]:
             f"H({n}) enumeration needs {count} exponent vectors, beyond the"
             f" guard ENUMERATION_GUARD = {ENUMERATION_GUARD}"
         )
-    return _segments(n, _primes_upto(n), representation_threshold(n) if bound is None else bound)
+    if bound is None:
+        bound = lcm = representation_threshold(n)
+    segments = _segments(n, _primes_upto(n), bound)
+    return _checked(n, segments, lcm) if lcm else segments
+
+
+def _checked(n: int, segments: Iterator[list[int]], lcm: int) -> Iterator[list[int]]:
+    """segments, a stream of all of H(n), failing at its end unless it held the
+    closed-form count hn_cardinality(n) and ended at lcm(1..n)."""
+    count = last = 0
+    for segment in segments:
+        count += len(segment)
+        last = segment[-1]
+        yield segment
+        del segment  # the next segment is built with this one released
+    if count != hn_cardinality(n) or (n >= 3 and last != lcm):
+        raise InternalContradiction(f"H({n}) enumeration fails its count or lcm check")
 
 
 def _segments(n: int, primes: list[int], bound: int) -> Iterator[list[int]]:

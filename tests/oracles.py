@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import heapq
 import math
+from collections import deque
 
 from grimm.arith import Window, probable_prime, vp_binomial
 
@@ -165,6 +166,52 @@ def recursive_augment(
         return False
 
     return walk(start)
+
+
+def recursive_max_matching(adj: dict[int, list[int]]) -> list[tuple[int, int]]:
+    """Hopcroft-Karp as the package wrote it with a recursive dfs, which
+    fails on a path deeper than the interpreter's recursion limit."""
+    left = list(adj)
+    pair_l: dict[int, int] = {}
+    pair_r: dict[int, int] = {}
+    dist: dict[int, int] = {}
+
+    def bfs() -> bool:
+        queue = deque()
+        for l in left:
+            if l not in pair_l:
+                dist[l] = 0
+                queue.append(l)
+            else:
+                dist[l] = -1
+        reachable = False
+        while queue:
+            l = queue.popleft()
+            for r in adj[l]:
+                if r not in pair_r:
+                    reachable = True
+                else:
+                    nxt = pair_r[r]
+                    if dist[nxt] == -1:
+                        dist[nxt] = dist[l] + 1
+                        queue.append(nxt)
+        return reachable
+
+    def dfs(l: int) -> bool:
+        for r in adj[l]:
+            nxt = pair_r.get(r)
+            if nxt is None or (dist[nxt] == dist[l] + 1 and dfs(nxt)):
+                pair_l[l] = r
+                pair_r[r] = l
+                return True
+        dist[l] = -1
+        return False
+
+    while bfs():
+        for l in left:
+            if l not in pair_l:
+                dfs(l)
+    return [(l, pair_l[l]) for l in left if l in pair_l]
 
 
 def brute_hn(n: int, bound: int) -> list[int]:

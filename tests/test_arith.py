@@ -15,7 +15,7 @@ from grimm.arith import (
     factorize,
     is_prime,
     largest_prime_factors,
-    largest_prime_powers,
+    largest_prime_power,
     prime_count,
     prime_divisors,
     probable_prime,
@@ -24,7 +24,6 @@ from grimm.arith import (
     vp_binomial,
     vp_factorial,
 )
-from grimm.arith import _check_prime_powers
 from grimm.arith import _odd_part, _sprp  # the strong-round core
 from oracles import iterated_lcm, naive_factorize, naive_is_prime, naive_vp
 
@@ -346,20 +345,22 @@ def naive_top(x):
     return max((p**e for p, e in naive_factorize(x).items()), default=1)
 
 
-def test_largest_prime_powers_match_naive():
+def test_largest_prime_power_matches_naive():
     limit = default_sieve().limit
-    assert largest_prime_powers(1, 12) == [1, 2, 3, 4, 5, 3, 7, 8, 9, 5, 11, 4]
-    assert largest_prime_powers(5, 4) == []
-    # sieve strike, a range ending at the sieve limit, and factorize beyond it
-    for lo, hi in ((1, 3000), (97, 131), (limit - 40, limit), (limit - 5, limit + 40)):
-        assert largest_prime_powers(lo, hi) == [naive_top(x) for x in range(lo, hi + 1)], lo
+    tops = [pow(*largest_prime_power(x)) for x in range(2, 13)]
+    assert tops == [2, 3, 4, 5, 3, 7, 8, 9, 5, 11, 4]
+    assert largest_prime_power(1328) == (83, 1) and largest_prime_power(1296) == (3, 4)
+    # within the sieve, up to its limit, and factorize beyond it
+    for x in (*range(2, 3001), *range(limit - 40, limit + 41)):
+        p, v = largest_prime_power(x)
+        assert p**v == naive_top(x) and naive_is_prime(p) and naive_vp(p, x) == v, x
     # prime powers beyond the sieve: a prime, a square and a high power
-    for x, q in ((999_983 * 1_000_003, 1_000_003), (2 * 1009**2, 1009**2), (2 * 3**39, 3**39)):
-        assert largest_prime_powers(x, x) == [q]
-    with pytest.raises(ValueError):
-        largest_prime_powers(0, 5)
-    with pytest.raises(ValueError):
-        largest_prime_powers(5, 3)
+    for x, pv in ((999_983 * 1_000_003, (1_000_003, 1)), (2 * 1009**2, (1009, 2)),
+                  (2 * 3**39, (3, 39))):
+        assert largest_prime_power(x) == pv
+    for x in (1, 0, -4):
+        with pytest.raises(ValueError):
+            largest_prime_power(x)
 
 
 def test_largest_prime_factors_match_naive():
@@ -381,25 +382,17 @@ def test_largest_prime_factors_match_naive():
 
 
 def test_prime_power_witness_check_catches_corruption(monkeypatch):
-    column = largest_prime_powers(10, 20)
-    _check_prime_powers(10, column)
-    # not exact (12 / 2 is even), not a prime power, not a divisor, 1, not exact
-    for x, bad in ((12, 2), (12, 6), (12, 8), (13, 1), (14, 5), (16, 4)):
-        corrupt = column[:]
-        corrupt[x - 10] = bad
-        with pytest.raises(InternalContradiction, match=f"{bad} is not a prime power"):
-            _check_prime_powers(10, corrupt)
-    # beyond the sieve: a composite that is no perfect power, and a prime
-    # square that does not divide exactly
+    # factorize misreports: an exponent too high (840 = 2^3 * 3 * 5 * 7) or
+    # too low, a composite as prime (45, and 2 * 1009^2 beyond the sieve), 1
+    # as a prime, a prime that does not divide
     x = 2 * 1009**2
-    for bad in (x, 1009):
-        with pytest.raises(InternalContradiction):
-            _check_prime_powers(x, [bad])
-    with pytest.raises(InternalContradiction):
-        _check_prime_powers(1009**3, [1009**2])
-    # The check runs on every column: a factorize that reports the
-    # composite 45 as prime leaves 45 in its entry.
+    bad = {840: {2: 4, 3: 1, 5: 1, 7: 1}, 1296: {2: 4, 3: 3}, 45: {45: 1}, x: {x: 1},
+           91: {1: 5}, 77: {7: 1, 13: 1}}
     real = grimm.arith.factorize
-    monkeypatch.setattr(grimm.arith, "factorize", lambda x: {45: 1} if x == 45 else real(x))
-    with pytest.raises(InternalContradiction, match="45 is not a prime power exactly dividing 45$"):
-        largest_prime_powers(1, 50)
+    monkeypatch.setattr(grimm.arith, "factorize", lambda y: bad.get(y) or real(y))
+    for y, q in ((840, "2^4"), (1296, "3^3"), (45, "45^1"), (x, f"{x}^1"), (91, "1^5"),
+                 (77, "13^1")):
+        with pytest.raises(InternalContradiction) as info:
+            largest_prime_power(y)
+        assert str(info.value) == f"{q} is not a prime power exactly dividing {y}"
+    assert largest_prime_power(839) == (839, 1) and largest_prime_power(841) == (29, 2)

@@ -348,3 +348,16 @@ def test_decision_checks_matched_certificates(monkeypatch):
     monkeypatch.setattr(grimm.assign, "verify_representation", lambda rep: False)
     with pytest.raises(InternalContradiction, match="bad certificate"):
         exact_representation_exists(Window(203, 7))
+
+
+def test_scan_checks_each_members_largest_prime_power(monkeypatch):
+    # 840 = 2^3 * 3 * 5 * 7 lies in H(20); reported as 2^4 * 3 * 5 * 7 its L
+    # would still be <= 20, and the scan would keep its 42 findings, but
+    # largest_prime_power recounts v_2(840) = 3 apart from factorize.
+    assert len(scan_counterexamples((1, 3000), (1, 20))) == 42
+    factorize = grimm.arith.factorize
+    monkeypatch.setattr(grimm.arith, "factorize",
+                        lambda x: {2: 4, 3: 1, 5: 1, 7: 1} if x == 840 else factorize(x))
+    with pytest.raises(InternalContradiction) as info:
+        scan_counterexamples((1, 3000), (1, 20))
+    assert str(info.value) == "2^4 is not a prime power exactly dividing 840"

@@ -344,17 +344,18 @@ def _zero_valuation_at_1327(monkeypatch):
 def _over_reported_exponent_at_840(monkeypatch):
     # 840 = 2^3 * 3 * 5 * 7 lies in H(12); reported as 2^4 * 3 * 5 * 7 it
     # would not, and v_2(C(851, 12)) = 2 passes the floor-sum clause
-    factorize = grimm.coprime.factorize
+    factorize = grimm.arith.factorize
     monkeypatch.setattr(
-        grimm.coprime, "factorize",
+        grimm.arith, "factorize",
         lambda x: {2: 4, 3: 1, 5: 1, 7: 1} if x == 840 else factorize(x),
     )
 
 
 @pytest.mark.parametrize("mutate, message", [
-    (_zero_valuation_at_1327, "witness 2 at 1328: coefficient valuation 0 outside [1, 4]"),
-    (_over_reported_exponent_at_840, "witness 2 at 840: 2^3 <= n = 12"),
-])
+    # the witness is the prime of L(1328) = 83, not the first prime 2 with 2^4 > 12
+    (_zero_valuation_at_1327, "witness 83 at 1328: coefficient valuation 0 outside [1, 1]"),
+    (_over_reported_exponent_at_840, "2^4 is not a prime power exactly dividing 840"),
+], ids=["zero_valuation_at_1327", "over_reported_exponent_at_840"])
 def test_verify_small_witness_check_exits_3(monkeypatch, capsys, mutate, message):
     # every width-12 window without an H(12) member has a checked witness per element
     mutate(monkeypatch)
@@ -651,8 +652,8 @@ def test_hn_enumeration_is_checked(monkeypatch, tmp_path, capsys, corrupt):
     # partial report on stdout, and with no file left behind under --output.
     whole = {fmt: run_capture(capsys, "hn", "--n", "30", "--format", fmt)[1]
              for fmt in ("json", "csv", "text")}
-    hn_segments = grimm.cli.hn_segments
-    monkeypatch.setattr(grimm.cli, "hn_segments", lambda n: corrupt(hn_segments(n)))
+    segments = grimm.smooth._segments
+    monkeypatch.setattr(grimm.smooth, "_segments", lambda *args: corrupt(segments(*args)))
     out = tmp_path / "report"
     for fmt, report in whole.items():
         for output in ([], ["--output", str(out)]):
@@ -662,6 +663,7 @@ def test_hn_enumeration_is_checked(monkeypatch, tmp_path, capsys, corrupt):
             assert error["status"] == "internal_error"
             assert error["error"] == "InternalContradiction"
             assert error["message"] == "H(30) enumeration fails its count or lcm check"
+            assert error["where"].startswith("smooth.py:")
             assert error["where"].endswith("in _checked")
             if output or fmt == "text":  # text is rendered whole before it is written
                 assert captured.out == ""

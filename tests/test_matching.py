@@ -1,7 +1,7 @@
 import random
 
 from grimm.matching import augment, max_matching
-from oracles import brute_max_matching_size, recursive_augment
+from oracles import brute_max_matching_size, recursive_augment, recursive_max_matching
 
 
 def test_complete_bipartite():
@@ -85,3 +85,25 @@ def test_augment_long_path_under_default_recursion_limit():
     pair_r = {i: i for i in range(1, k + 1)}
     assert augment(adj, pair_r, 0)
     assert pair_r == {i + 1: i for i in range(k + 1)}
+
+
+def test_max_matching_matches_recursive_reference():
+    # The explicit-stack dfs visits in the recursive order, so the pairs agree.
+    rng = random.Random(53)
+    for _ in range(500):
+        nl, nr = rng.randrange(1, 14), rng.randrange(1, 14)
+        density = rng.choice((0.15, 0.3, 0.5))
+        adj = {l: [r for r in range(100, 100 + nr) if rng.random() < density]
+               for l in rng.sample(range(nl + 5), nl)}
+        for rs in adj.values():
+            rng.shuffle(rs)
+        assert max_matching(adj) == recursive_max_matching(adj)
+
+
+def test_max_matching_long_path_under_default_recursion_limit():
+    # The first phase matches left i to right i and leaves 2999 unmatched; the
+    # next augmenting path runs through all 3000 left vertices, which the
+    # recursive dfs could not follow (900 vertices were within its reach).
+    adj = {i: [i, i + 1] for i in range(2999)}
+    adj[2999] = [0]
+    assert max_matching(adj) == [*((i, i + 1) for i in range(2999)), (2999, 0)]

@@ -4,7 +4,7 @@
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from grimm.arith import Window, is_prime, largest_prime_powers
+from grimm.arith import Window, is_prime, largest_prime_power
 from grimm.assign import Counterexample, _decide_row, scan_counterexamples
 from grimm.coprime import CanonicalRow, construct_representation, verify_representation
 from grimm.smooth import in_hn
@@ -14,7 +14,7 @@ PROPERTY = settings(derandomize=True, database=None, deadline=None, max_examples
 
 
 def naive_top(x):
-    return max(p**e for p, e in naive_factorize(x).items())
+    return max((p**e for p, e in naive_factorize(x).items()), default=1)
 
 
 @PROPERTY
@@ -22,7 +22,7 @@ def naive_top(x):
 def test_settled_random_windows_have_nontrivial_canonical_parts(m, n):
     tops = [naive_top(x) for x in range(m + 1, m + n + 1)]
     assume(min(tops) > n)
-    assert largest_prime_powers(m + 1, m + n) == tops
+    assert [pow(*largest_prime_power(x)) for x in range(m + 1, m + n + 1)] == tops
     rep = construct_representation(Window(m, n))
     assert rep.all_factors_nontrivial and verify_representation(rep), (m, n)
 
@@ -30,7 +30,7 @@ def test_settled_random_windows_have_nontrivial_canonical_parts(m, n):
 def test_settle_rule_exhaustive_small():
     # every window m <= 3000, n <= 20: settled ones have a checked canonical
     # certificate with all parts > 1; the rest meet H(n) or hold a prime <= n
-    tops = largest_prime_powers(1, 3020)
+    tops = [naive_top(x) for x in range(1, 3021)]
     for m in range(1, 3001):
         row = CanonicalRow(m)
         low = tops[m]
@@ -47,7 +47,7 @@ def test_settle_rule_exhaustive_small():
 
 def walk_every_row(m_lo, m_hi, n_hi):
     composite = [not naive_is_prime(x) for x in range(m_hi + n_hi + 1)]
-    tops = largest_prime_powers(m_lo + 1, m_hi + n_hi)
+    tops = [naive_top(x) for x in range(m_lo + 1, m_hi + n_hi + 1)]
     out = []
     for m in range(m_lo, m_hi + 1):
         run = 0  # the composites m+1, m+2, ... in a row, at most n_hi

@@ -2,7 +2,8 @@ from itertools import chain
 
 import pytest
 
-from grimm.arith import default_sieve, representation_threshold
+import grimm.smooth
+from grimm.arith import InternalContradiction, default_sieve, representation_threshold
 from grimm.smooth import (
     ENUMERATION_GUARD,
     enumerate_hn,
@@ -155,3 +156,23 @@ def test_segment_members_are_exact_ints():
             for segment in hn_segments(n, bound):
                 assert type(segment) is list, (n, bound)
                 assert all(type(x) is int for x in segment), (n, bound)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda segments: (s[1:] if i == 0 else s for i, s in enumerate(segments)),  # a member dropped
+    lambda segments: ([*s, s[-1] + 1] for s in segments),  # a member too many, past lcm(1..n)
+])
+def test_whole_streams_are_checked(monkeypatch, corrupt):
+    # A stream holding all of H(30) (no bound, or one >= lcm(1..30)) is checked
+    # against the closed-form count and lcm(1..30) when it ends; a stream cut
+    # below lcm(1..30) is not all of H(30) and is passed through unchecked.
+    segments = grimm.smooth._segments
+    monkeypatch.setattr(grimm.smooth, "_segments", lambda *args: corrupt(segments(*args)))
+    message = r"^H\(30\) enumeration fails its count or lcm check$"
+    with pytest.raises(InternalContradiction, match=message):
+        enumerate_hn(30)
+    for bound in (representation_threshold(30), 10**13):
+        with pytest.raises(InternalContradiction, match=message):
+            list(hn_segments(30, bound))
+    list(hn_segments(30, representation_threshold(30) - 1))
+    list(hn_segments(30, 10**6))
