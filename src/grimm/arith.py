@@ -15,6 +15,7 @@ import random
 from array import array
 from dataclasses import dataclass
 from itertools import compress
+from operator import itemgetter
 
 # Strong-test witness sets, each proven below its bound: Sinclair's 7 bases below
 # 2^64, the prime bases 2..41 below psi_13 (Sorenson & Webster, Math. Comp. 2017).
@@ -28,8 +29,9 @@ FACTORIZATION_BOUND = 1 << 64
 
 DEFAULT_SIEVE_LIMIT = 10**6
 
-# A sieve holds one Python int reference per integer up to its limit; refuse
-# anything bigger before allocating (10^8 already peaks near 1.6 GB).
+# A sieve holds a 16-bit entry per integer up to its limit and a list of the
+# primes; refuse anything bigger before allocating.  Each entry is a prime
+# <= isqrt(SIEVE_GUARD) < 2^16, so it fits.
 SIEVE_GUARD = 10**8
 
 # Trial division hands off to rho once the trial prime exceeds this, so
@@ -67,7 +69,9 @@ class PrimeSieve:
     """Smallest-prime-factor table with the ascending list of primes.
 
     _spf[x] is the smallest prime factor of composite x <= limit, and 0 for
-    0, 1 and the primes; pi and prime ranges are bisections of `primes`.
+    0, 1 and the primes, in an unsigned 16-bit array: that factor is at most
+    isqrt(SIEVE_GUARD) < 2^16, and a wider one would raise OverflowError in
+    the strike, never wrap.  pi and prime ranges are bisections of `primes`.
     Immutable once built; all queries are read-only, so a single instance
     may be shared freely across threads (and across forked workers).
     """
@@ -87,12 +91,9 @@ class PrimeSieve:
         del alive
         # Striking the larger primes first leaves each entry at its smallest
         # prime factor.
-        spf = array("I", bytes(4 * (limit + 1)))
+        self._spf = spf = array("H", [0]) * (limit + 1)
         for p in reversed(self.primes[: bisect.bisect_right(self.primes, root)]):
-            spf[p * p :: p] = array("I", [p]) * len(range(p * p, limit + 1, p))
-        # Plain lists index faster than arrays in the per-element hot loops
-        # (bulk factorization of range scans).
-        self._spf: list[int] = spf.tolist()
+            spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
 
     def _check(self, x: int) -> None:
         if x < 0 or x > self.limit:
@@ -219,8 +220,10 @@ def all_prime(xs: list[int]) -> bool:
     when all of them lie within it, by is_prime otherwise."""
     sieve = default_sieve()
     if xs and 2 <= min(xs) and max(xs) <= sieve.limit:
-        # Within the sieve, x >= 2 is prime iff it has no smallest-prime-factor entry.
-        return not any(map(sieve._spf.__getitem__, xs))
+        # Within the sieve, x >= 2 is prime iff it has no smallest-prime-factor
+        # entry.  One itemgetter gathers them all; the leading 0 reads _spf[0],
+        # which is 0, and makes a single x still give a tuple.
+        return not any(itemgetter(0, *xs)(sieve._spf))
     return all(map(is_prime, xs))
 
 

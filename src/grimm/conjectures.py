@@ -24,7 +24,6 @@ from __future__ import annotations
 import bisect
 import itertools
 import math
-import multiprocessing
 import random
 import time
 from dataclasses import dataclass, field
@@ -126,6 +125,8 @@ def map_blocks(fn, blocks: list, workers: int) -> list:
     if workers <= 1 or len(blocks) <= 1:
         pieces = map(fn, blocks)
     else:
+        import multiprocessing  # only here: most runs never start a pool
+
         with multiprocessing.Pool(min(workers, len(blocks))) as pool:
             pieces = pool.map(fn, blocks)
     return [item for piece in pieces for item in piece]

@@ -1,5 +1,7 @@
+import copy
 import math
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ import grimm.arith
 from grimm.arith import (
     DETERMINISTIC_PRIMALITY_BOUND,
     InternalContradiction,
+    SIEVE_GUARD,
     PrimeSieve,
     Window,
     all_prime,
@@ -25,6 +28,7 @@ from grimm.arith import (
     vp_factorial,
 )
 from grimm.arith import _odd_part, _sprp  # the strong-round core
+from grimm.assign import _check_column
 from oracles import iterated_lcm, naive_factorize, naive_is_prime, naive_vp
 
 
@@ -339,6 +343,44 @@ def test_all_prime_table_and_beyond():
     beyond = [p for p in range(limit + 1, limit + 200) if naive_is_prime(p)]
     assert all_prime([2] + beyond)
     assert not all_prime([2, beyond[0] * 3])
+
+
+def test_sieve_table_is_16_bit_smallest_prime_factors():
+    s = PrimeSieve(5000)
+    assert s._spf.itemsize == 2
+    naive = [0 if x < 2 or naive_is_prime(x) else min(naive_factorize(x)) for x in range(5001)]
+    assert s._spf.tolist() == naive
+    # the largest sieve the guard allows still has 16-bit smallest prime factors
+    assert math.isqrt(SIEVE_GUARD) < 1 << 16
+
+
+def test_sieve_memory():
+    tracemalloc.start()
+    try:
+        sieve = PrimeSieve(10**6)
+        retained, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert sieve.limit == 10**6
+    assert retained <= 6 * 10**6 and peak <= 8 * 10**6, (retained, peak)
+
+
+def test_all_prime_reads_single_entries_and_catches_a_corrupt_table(monkeypatch):
+    sieve = default_sieve()
+    assert isinstance(sieve.primes, list)
+    assert all_prime([2]) and all_prime([3, 3])
+    assert not all_prime([4])
+    assert all_prime([sieve.limit]) == naive_is_prime(sieve.limit)
+    assert all_prime([sieve.limit - 1, 2]) == naive_is_prime(sieve.limit - 1)
+    lo = 1000
+    tops = largest_prime_factors(lo, lo + 20)
+    _check_column(lo, tops)
+    bad = copy.copy(sieve)
+    bad._spf = copy.copy(sieve._spf)
+    bad._spf[max(tops)] = 2
+    monkeypatch.setattr(grimm.arith, "_sieve", bad)
+    with pytest.raises(InternalContradiction):
+        _check_column(lo, tops)
 
 
 def naive_top(x):

@@ -3,7 +3,10 @@ parameters of every subcommand."""
 
 import dataclasses
 import hashlib
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -193,3 +196,17 @@ def test_readme_lists_the_declared_subcommands():
     text = README.read_text(encoding="utf-8")
     table = text[text.index("| subcommand |"):].split("\n\n", 1)[0]
     assert re.findall(r"^\| `([^`]+)` \|", table, re.M) == _declared()
+
+
+def test_cli_import_leaves_multiprocessing_unloaded():
+    # Only a started pool needs multiprocessing, so no command pays for it at import.
+    src = Path(grimm.conjectures.__file__).resolve().parents[1]
+    code = "import sys, grimm.cli; print('multiprocessing' in sys.modules)"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\n"
