@@ -9,13 +9,10 @@ from .arith import (
     default_sieve,
     factorize,
     is_prime,
-    prime_count,
     prime_divisors,
     probable_prime,
     representation_threshold,
-    vp,
     vp_binomial,
-    vp_factorial,
 )
 from .assign import (
     Counterexample,
@@ -45,7 +42,6 @@ from .conjectures import (
 from .coprime import (
     CoprimeRepresentation,
     construct_representation,
-    dominant_prime_witness,
     full_representation,
     representation_from_factors,
     verify_representation,

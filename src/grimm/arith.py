@@ -71,7 +71,7 @@ class PrimeSieve:
     _spf[x] is the smallest prime factor of composite x <= limit, and 0 for
     0, 1 and the primes, in an unsigned 16-bit array: that factor is at most
     isqrt(SIEVE_GUARD) < 2^16, and a wider one would raise OverflowError in
-    the strike, never wrap.  pi and prime ranges are bisections of `primes`.
+    the strike, never wrap.  pi is a bisection of `primes`.
     Immutable once built; all queries are read-only, so a single instance
     may be shared freely across threads (and across forked workers).
     """
@@ -125,13 +125,6 @@ class PrimeSieve:
                 x //= p
                 e += 1
             out[p] = e
-
-    def primes_between(self, lo: int, hi: int) -> list[int]:
-        """Primes p with lo < p < hi (both ends exclusive)."""
-        if hi - 1 > self.limit:
-            raise ValueError(f"{hi} outside sieve range")
-        primes = self.primes
-        return primes[bisect.bisect_right(primes, lo) : bisect.bisect_left(primes, hi)]
 
 
 _sieve: PrimeSieve | None = None
@@ -346,33 +339,12 @@ def largest_prime_factors(lo: int, hi: int) -> list[int]:
     return out
 
 
-def vp(p: int, x: int) -> int:
-    """The p-adic valuation: the largest e with p^e dividing x."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    if x < 1:
-        raise ValueError(f"valuation undefined for {x}")
-    return _vp(p, x)
-
-
 def _vp(p: int, x: int) -> int:
     e = 0
     while x % p == 0:
         x //= p
         e += 1
     return e
-
-
-def vp_factorial(p: int, x: int) -> int:
-    """Valuation of x! at p by the floor-sum formula, without forming x!."""
-    if not is_prime(p):
-        raise ValueError(f"{p} is not prime")
-    total = 0
-    q = p
-    while q <= x:
-        total += x // q
-        q *= p
-    return total
 
 
 def vp_binomial(p: int, w: Window) -> int:
@@ -411,10 +383,3 @@ def representation_threshold(n: int) -> int:
             q *= p
         out *= q
     return out
-
-
-def prime_count(x: int) -> int:
-    """pi(x) from the shared sieve table; rejects x above the sieve limit."""
-    if x < 0:
-        raise ValueError(f"pi undefined for {x}")
-    return default_sieve().prime_count(x)

@@ -93,15 +93,21 @@ def _settle_grimm(w: Window, tops: list[int]) -> GrimmAssignment | int:
     consecutive integers, so an element whose largest prime factor is >= n
     takes that prime.  Only the n-smooth rest is walked for its primes, all
     below n; each gets one augmenting search in index order, and the first
-    that fails is the stuck index.  The assignment is checked apart from how
-    it was built: each prime divides its element, is prime, and is distinct.
+    that fails is the stuck index.  The assignment is then checked
+    (_checked_assignment).
     """
-    primes = list(tops)
     residual = {i: prime_divisors(w.m + i) for i, top in enumerate(tops, 1) if top < w.n}
     pair_r: dict[int, int] = {}
     for i in residual:
         if not augment(residual, pair_r, i):
             return i
+    return _checked_assignment(w, list(tops), pair_r)
+
+
+def _checked_assignment(w: Window, primes: list[int], pair_r: dict[int, int]) -> GrimmAssignment:
+    """primes, with each matched prime p of pair_r at its index pair_r[p], as
+    the window's assignment, once checked apart from how it was built: each
+    prime divides its element, is prime, and is distinct."""
     for p, i in pair_r.items():
         primes[i - 1] = p
     divides = not any(map(operator.mod, w.values(), primes))
@@ -202,8 +208,9 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
 
     A failed window stays failed when extended (its deficient index set
     persists), so the scan stops at the first failure; the matching is
-    grown one index at a time.  cap defaults to 2m and may not exceed it,
-    the window there containing two powers of 2.
+    grown one index at a time, and the last one is checked as an assignment
+    (_checked_assignment).  cap defaults to 2m and may not exceed it, the
+    window there containing two powers of 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -219,6 +226,8 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
         if not augment(adj, pair_r, n):
             break
         value = n
+    # value 0 is no answer (m + 1 >= 2 has a prime), and fails as a window of one 1.
+    _checked_assignment(Window(m, max(value, 1)), [1] * max(value, 1), pair_r)
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap)
 
 

@@ -221,24 +221,21 @@ def _scan(args):
              csv=(("element",), lambda p: (  # one formatted block per segment slice
                  _ints("\n", block) for block in _blocks(p.get("elements", ())))))
 def _hn(args):
-    payload = {"n": args.n, "cardinality": hn_cardinality(args.n)}
+    payload = {"n": args.n}
     if not args.count_only:
-        payload["elements"] = _HnMembers(args.n, payload["cardinality"])
+        payload["elements"] = _HnMembers(args.n)  # the guard, before the count is taken
+    payload["cardinality"] = hn_cardinality(args.n)
     return payload, []
 
 
 class _HnMembers:
     """The members of H(n), read from a fresh hn_segments stream on each
     iteration, so that H(n) is never held whole (each stream is checked when
-    it ends); len is the closed-form count."""
+    it ends)."""
 
-    def __init__(self, n: int, count: int):
+    def __init__(self, n: int):
         self.n = n
-        self.count = count
         hn_segments(n)  # raises the guard error now, before any part is written
-
-    def __len__(self) -> int:
-        return self.count
 
     def __iter__(self):
         return chain.from_iterable(hn_segments(self.n))

@@ -28,7 +28,7 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import Window, default_sieve, is_prime, largest_prime_factors
+from .arith import SIEVE_GUARD, Window, default_sieve, is_prime, largest_prime_factors
 from .assign import (
     RepresentationDecision,
     _check_column,
@@ -37,7 +37,7 @@ from .assign import (
     scan_counterexamples,
 )
 from .coprime import _checked_witness, _witness
-from .primegen import first_prime
+from .primegen import band_primes, first_prime
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
 
@@ -174,10 +174,10 @@ class SmallWindowReport:
     admit the full representation.  The failures are decided by
     scan_counterexamples.  A width-max_n window whose elements all avoid
     H(max_n) has it by the threshold argument: each element's L(x) > max_n
-    is checked by largest_prime_power, and its prime, the witness, by floor
-    sums (as in dominant_prime_witness); the width-max_n windows that meet
-    H(max_n) are listed with their members (`fallback_windows`), and scan
-    decides them.
+    is checked by largest_prime_power (coprime._witness), and its prime, the
+    witness, by floor sums (coprime._checked_witness).  The width-max_n
+    windows that meet H(max_n) are listed with their members
+    (`fallback_windows`), and scan decides them.
     """
 
     m_max: int
@@ -313,6 +313,13 @@ def _block_divisors(primes: list[int], budget: int | None, seed: int):
             yield sub[0], math.prod(sub)
 
 
+def _band(lo: int, hi: int) -> list[int]:
+    """band_primes(lo, hi), refused as the sieve up to hi that it stands in for is."""
+    if hi > SIEVE_GUARD:
+        raise ValueError(f"sieve limit {hi} exceeds SIEVE_GUARD = {SIEVE_GUARD}")
+    return band_primes(lo, hi)
+
+
 def conjecture2_i(
     n: int, divisor_budget: int | None = None, seed: int = 0
 ) -> list[DivisorProbe]:
@@ -324,8 +331,7 @@ def conjecture2_i(
     """
     if n < 2:
         raise ValueError("defined for n >= 2")
-    sieve = default_sieve(2 * n)
-    block = sieve.primes_between(n, 2 * n)
+    block = _band(n + 1, 2 * n)
     out = []
     for q, d in _block_divisors(block, divisor_budget, seed):
         clauses = (
@@ -347,8 +353,7 @@ def conjecture2_ii(
     """
     if n < 3:
         raise ValueError("defined for n >= 3")
-    sieve = default_sieve(n)
-    block = [p for p in sieve.primes_between(n // 2 - 1, n) if 2 * p > n]
+    block = _band(n // 2 + 1, n)
     out = []
     for q, d in _block_divisors(block, divisor_budget, seed):
         t = (d - 1) // n
@@ -385,8 +390,7 @@ class CramerGapRecord:
 def cramer_gap_report(n: int) -> CramerGapRecord:
     if n < 2:
         raise ValueError("defined for n >= 2")
-    sieve = default_sieve(2 * n)
-    block = sieve.primes_between(n, 2 * n)
+    block = _band(n + 1, 2 * n)
     q = block[0]
     d = math.prod(block)
     if d - q <= 0:

@@ -191,21 +191,6 @@ def full_representation(w: Window) -> CoprimeRepresentation:
     return rep
 
 
-def dominant_prime_witness(w: Window, i: int) -> int | None:
-    """The prime p of L(m+i) = p^(v_p(m+i)), the largest prime power of m+i,
-    when L(m+i) > n, that is, when m+i lies outside H(n).
-
-    Such a prime makes m+i the unique valuation maximum in the window, and
-    its exponent in C(m+n, n) is pinned between 1 and v_p(m+i).  Both
-    facts are re-checked: L(m+i) by largest_prime_power, the exponent by
-    floor sums.  Returns None when m+i is in H(n), is a prime not exceeding
-    n, or is below 2.
-    """
-    if not 1 <= i <= w.n:
-        raise ValueError(f"index {i} outside 1..{w.n}")
-    return _checked_witness(w, w.m + i, _witness(w.m + i, w.n))
-
-
 def _witness(x: int, n: int) -> tuple[int, int] | None:
     """(p, v) with p^v = L(x) checked by largest_prime_power, if L(x) > n;
     None for x in H(n), a prime <= n, or x < 2.  No window enters, so a walk
@@ -215,8 +200,13 @@ def _witness(x: int, n: int) -> tuple[int, int] | None:
 
 
 def _checked_witness(w: Window, x: int, found: tuple[int, int] | None) -> int | None:
-    """The prime of found = _witness(x, w.n), once its exponent in
-    C(m+n, n) is checked by floor sums to lie in [1, v_p(x)]."""
+    """The prime p of found = _witness(x, w.n), once its exponent in
+    C(m+n, n) is checked by floor sums to lie in [1, v_p(x)].
+
+    Since p^v_p(x) > n, x is the window's unique valuation maximum at p,
+    which pins that exponent there; a value outside it raises
+    InternalContradiction.
+    """
     if found is None:
         return None
     p, v = found

@@ -154,13 +154,16 @@ def _strike(start: int, count: int, primes) -> bytearray:
 
 
 def band_primes(lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi), 2 <= lo: the survivors of a strike of the band
-    by the shared sieve's primes up to sqrt(hi - 1), without growing it.  A
-    composite survivor exceeds limit^2, so is_prime decides only those."""
+    """The primes in [lo, hi), 2 <= lo: read off the shared sieve if it
+    reaches hi - 1, else the survivors of a strike of the band by its primes
+    up to sqrt(hi - 1), without growing it.  A composite survivor exceeds
+    limit^2, so is_prime decides only those."""
     sieve = default_sieve()
-    primes = sieve.primes
+    primes, square = sieve.primes, sieve.limit**2
+    if hi - 1 <= sieve.limit:
+        return primes[bisect.bisect_left(primes, lo) : bisect.bisect_left(primes, hi)]
     alive = _strike(lo, hi - lo, islice(primes, bisect.bisect_right(primes, math.isqrt(hi - 1))))
-    return [x for x in compress(range(lo, hi), alive) if x <= sieve.limit**2 or is_prime(x)]
+    return [x for x in compress(range(lo, hi), alive) if x <= square or is_prime(x)]
 
 
 def first_prime(start: int, count: int, order, depth: int,

@@ -15,16 +15,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import chain, islice
+from itertools import chain, islice, takewhile
 from typing import Iterator
 
-from .arith import (
-    InternalContradiction,
-    default_sieve,
-    is_prime,
-    largest_prime_power,
-    representation_threshold,
-)
+from .arith import InternalContradiction, default_sieve, is_prime, largest_prime_power
 
 # Enumeration walks every exponent vector; refuse anything bigger.
 ENUMERATION_GUARD = 10**7
@@ -57,9 +51,26 @@ def _max_exponent(p: int, n: int) -> int:
     return e
 
 
-def _primes_upto(n: int) -> list[int]:
-    sieve = default_sieve(n)
-    return sieve.primes[: sieve.prime_count(n)]
+def _primes_upto(n: int) -> Iterator[int]:
+    """The primes <= n, ascending; the shared sieve grows only once its own run out."""
+    primes = default_sieve().primes
+    yield from takewhile(n.__ge__, primes)
+    yield from takewhile(n.__ge__, islice(default_sieve(n).primes, len(primes), None))
+
+
+def _vectors(n: int, limit: int | None = None) -> tuple[int, int, bool]:
+    """(count, lcm, whole): the products of 1 + e and of p^e, e = floor(log_p n),
+    over the primes p <= n read by one ascending pass, which stops before the next
+    prime once count passes limit; whole says it read them all.  lcm stops growing
+    once count passes ENUMERATION_GUARD, itself past it then (p^e >= 1 + e)."""
+    count = lcm = 1
+    for p in _primes_upto(n):
+        if limit is not None and count > limit:
+            return count, lcm, False
+        e = _max_exponent(p, n)
+        lcm *= p**e if count <= ENUMERATION_GUARD else 1
+        count *= 1 + e
+    return count, lcm, True
 
 
 def in_hn(x: int, n: int) -> bool:
@@ -71,17 +82,14 @@ def in_hn(x: int, n: int) -> bool:
 
 def vector_count(n: int) -> int:
     """Number of exponent vectors behind H(n): prod of (1 + floor(log_p n))."""
-    out = 1
-    for p in _primes_upto(n):
-        out *= 1 + _max_exponent(p, n)
-    return out
+    return _vectors(n)[0]
 
 
 def hn_cardinality(n: int) -> int:
     """|H(n)| in closed form (exact, arbitrary precision)."""
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
-    return vector_count(n) - 1 - len(_primes_upto(n))
+    return vector_count(n) - 1 - default_sieve(n).prime_count(n)
 
 
 def enumerate_hn(n: int) -> HnSet:
@@ -106,38 +114,26 @@ def hn_segments(n: int, bound: int | None = None) -> Iterator[list[int]]:
     dropped as soon as it is formed.
 
     The guard (as for enumerate_hn, on min(vector_count(n), bound)) is
-    checked here, before the first segment is asked for.  A stream of all of
-    H(n) (no bound, or one >= lcm(1..n)) is checked at its end (_checked).
+    checked here, before the first segment is asked for, by a pass (_vectors)
+    that stops once the count passes the bound, or the guard if there is none.
+    A stream of all of H(n) (no bound, or one >= lcm(1..n)) is checked at its
+    end (_checked).
     """
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
-    if bound is None:
-        count = vector_count(n)
-    else:
-        # One pass: the count, and lcm(1..n) while it stays <= bound (else 0).
-        # It stops once the count passes the bound, before the primes up to a
-        # large n are sieved; lcm(1..n) >= the count is then past it too.
-        count = lcm = 1
-        for p in default_sieve().primes:
-            if p > n:
-                break
-            e = _max_exponent(p, n)
-            count *= 1 + e
-            lcm = lcm * p**e if lcm <= bound // p**e else 0
-            if count > bound:
-                break
-        else:
-            count = vector_count(n)
-        count = min(count, bound)
+    count, lcm, whole = _vectors(n, ENUMERATION_GUARD if bound is None else bound)
+    if bound is not None:
+        count, whole = min(count, bound), True  # the pass stops only past the bound
     if count > ENUMERATION_GUARD:
+        needs = count if whole else f"more than {ENUMERATION_GUARD}"
         raise ValueError(
-            f"H({n}) enumeration needs {count} exponent vectors, beyond the"
+            f"H({n}) enumeration needs {needs} exponent vectors, beyond the"
             f" guard ENUMERATION_GUARD = {ENUMERATION_GUARD}"
         )
-    if bound is None:
-        bound = lcm = representation_threshold(n)
-    segments = _segments(n, _primes_upto(n), bound)
-    return _checked(n, segments, lcm) if lcm else segments
+    # Within the guard lcm is lcm(1..n), or past the bound if the pass stopped there.
+    bound = lcm if bound is None else bound
+    segments = _segments(n, list(_primes_upto(min(n, bound))), bound)
+    return _checked(n, segments, lcm) if lcm <= bound else segments
 
 
 def _checked(n: int, segments: Iterator[list[int]], lcm: int) -> Iterator[list[int]]:

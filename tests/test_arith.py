@@ -19,13 +19,10 @@ from grimm.arith import (
     is_prime,
     largest_prime_factors,
     largest_prime_power,
-    prime_count,
     prime_divisors,
     probable_prime,
     representation_threshold,
-    vp,
     vp_binomial,
-    vp_factorial,
 )
 from grimm.arith import _odd_part, _sprp  # the strong-round core
 from grimm.assign import _check_column
@@ -172,32 +169,6 @@ def test_factorize_rho_path():
     assert factorize((10**9 + 7) * (10**9 + 9)) == {10**9 + 7: 1, 10**9 + 9: 1}
 
 
-def test_vp_fixtures():
-    assert vp(2, 120) == 3
-    assert vp(7, 119) == 1
-    assert vp(3, 8) == 0
-    with pytest.raises(ValueError):
-        vp(4, 100)
-    with pytest.raises(ValueError):
-        vp(2, 0)
-
-
-def test_vp_factorial_fixtures():
-    assert vp_factorial(2, 8) == 7
-    assert vp_factorial(7, 7) == 1
-    assert vp_factorial(5, 10) == 2
-    assert vp_factorial(2, 0) == 0
-
-
-def test_vp_factorial_brute_sum_oracle():
-    sieve = default_sieve()
-    for p in [q for q in sieve.primes if q <= 50]:
-        running = 0
-        for x in range(2, 10**4 + 1):
-            running += naive_vp(p, x)
-            assert vp_factorial(p, x) == running
-
-
 def test_vp_binomial_fixtures():
     assert vp_binomial(3, Window(118, 8)) == 2
     assert vp_binomial(2, Window(118, 8)) == 0
@@ -241,17 +212,6 @@ def test_representation_threshold_is_lcm():
         assert representation_threshold(n) == iterated_lcm(n)
 
 
-def test_prime_count_fixtures():
-    assert prime_count(10) == 4
-    assert prime_count(100) == 25
-    assert prime_count(1) == 0
-    assert prime_count(0) == 0
-    with pytest.raises(ValueError):
-        default_sieve().prime_count(default_sieve().limit + 1)
-    with pytest.raises(ValueError):
-        prime_count(-1)
-
-
 def test_pi_ln_lower_bound_exhaustive():
     # pi(n) * ln(n) >= n for every 17 <= n <= 10^6
     sieve = default_sieve(10**6)
@@ -280,10 +240,6 @@ def test_sieve_basics():
     s = PrimeSieve(50)
     assert s.primes == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47]
     assert s.factorize(48) == {2: 4, 3: 1}
-    assert s.primes_between(10, 20) == [11, 13, 17, 19]
-    assert s.primes_between(2, 4) == [3]
-    assert s.primes_between(0, -1) == []
-    assert s.primes_between(5, 3) == []
     with pytest.raises(ValueError):
         s.is_prime(51)
     # every small limit against trial division; limits below 3 are raised to 3
@@ -300,19 +256,11 @@ def test_sieve_basics():
         ]
         for x in range(1, top + 1):  # ascending primes, as factorize promises
             assert list(s.factorize(x).items()) == list(naive_factorize(x).items()), (limit, x)
-        for lo in range(-2, top + 2):
-            for hi in {lo - 1, lo, lo + 1, lo + 2, lo + 9, top + 1}:
-                if hi <= top + 1:
-                    assert s.primes_between(lo, hi) == [
-                        p for p in primes if lo < p < hi
-                    ], (limit, lo, hi)
         for bad in (-1, top + 1):
             with pytest.raises(ValueError):
                 s.is_prime(bad)
             with pytest.raises(ValueError):
                 s.prime_count(bad)
-        with pytest.raises(ValueError):
-            s.primes_between(0, top + 2)
 
 
 def test_sieve_factorize_matches_naive():

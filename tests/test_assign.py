@@ -1,5 +1,6 @@
 import dataclasses
 import hashlib
+import json
 import multiprocessing
 import random
 
@@ -15,9 +16,10 @@ from grimm.assign import (
     scan_counterexamples,
     w_of_m,
 )
-from grimm.cli import EXIT_FINDINGS, run
+from grimm.cli import EXIT_FINDINGS, EXIT_INTERNAL, run
 from grimm.conjectures import verify_grimm_range
 from grimm.coprime import CanonicalRow, InternalContradiction, verify_representation
+from grimm.matching import augment
 from oracles import exact_representation_feasible, grimm_feasible
 
 # All-composite windows in m <= 200, n <= 12 without the full representation,
@@ -67,6 +69,25 @@ def test_grimm_runtime_check_catches_defects(monkeypatch):
         patch.setattr(grimm.assign, "largest_prime_factors", shifted_column)
         with pytest.raises(InternalContradiction):
             grimm_assignment(Window(5, 2))  # 6, 7 -> 7, 8
+
+
+def test_g_checks_its_final_matching(monkeypatch, capsys):
+    # An augment that succeeds but then leaves the prime 10007, which divides
+    # no element of the windows from 1000, matched to index 3 (1003 = 17 * 59).
+    def misplacing(adj, pair_r, start):
+        found = augment(adj, pair_r, start)
+        if start == 3:
+            del pair_r[next(p for p, i in pair_r.items() if i == 3)]
+            pair_r[10007] = 3
+        return found
+
+    # An augment that fails at once: value 0, which no window has (m + 1 >= 2
+    # has a prime), is a defect, not a usage error.
+    for mutant in (misplacing, lambda adj, pair_r, start: False):
+        monkeypatch.setattr(grimm.assign, "augment", mutant)
+        assert run(["g", "--m", "1000"]) == EXIT_INTERNAL
+        out, err = capsys.readouterr()
+        assert out == "" and json.loads(err)["error"] == "InternalContradiction"
 
 
 def shifted_column(lo, hi):

@@ -46,6 +46,31 @@ def test_hn_guard_is_usage_error(capsys):
     assert json.loads(out)["result"]["cardinality"] > 10**15
 
 
+@pytest.mark.parametrize("n", [200000, 20000000])
+def test_hn_refusal_names_the_guard_at_once(capsys, n):
+    # The guard is checked before the count is taken, by a pass over the primes
+    # that stops once the count passes it: no sieve is grown to n, and no count
+    # of thousands of digits is formatted.
+    before = grimm.arith.default_sieve().limit
+    assert run(["hn", "--n", str(n)]) == EXIT_ERROR
+    out, err = capsys.readouterr()
+    assert out == "" and "ENUMERATION_GUARD" in err and len(err) < 300
+    assert "needs more than 10000000 exponent vectors" in err
+    assert grimm.arith.default_sieve().limit == before
+
+
+def test_hn_guard_message_is_exact_when_every_prime_was_read(capsys):
+    # At n = 71 the count passes the guard at the last prime <= n.
+    assert run(["hn", "--n", "71"]) == EXIT_ERROR
+    assert capsys.readouterr().err == (
+        "error: H(71) enumeration needs 16515072 exponent vectors,"
+        " beyond the guard ENUMERATION_GUARD = 10000000\n")
+    # The count alone is not guarded: a 2,903-digit cardinality.
+    assert run(["hn", "--n", "100000", "--count-only"]) == EXIT_OK
+    digest = hashlib.sha256(capsys.readouterr().out.encode()).hexdigest()
+    assert digest == "515686a89ff54721aa426e37a6b95a8c72bb8fb7c5fa3325e268dfe46f4e9d87"
+
+
 def test_w_exception_window_is_finding(capsys):
     code, out = run_capture(capsys, "w", "--m", "118", "--cap", "8", "--format", "json")
     assert code == EXIT_FINDINGS
@@ -564,7 +589,7 @@ def test_hn_report_streams_in_parts(monkeypatch, tmp_path, fmt):
     out = tmp_path / "report"
     assert run(["hn", "--n", "48", "--format", fmt, "--output", str(out)]) == EXIT_OK
     ((report, parts),) = calls
-    assert len(parts) > len(report["result"]["elements"]) // grimm.cli._JSON_BLOCK
+    assert len(parts) > report["result"]["cardinality"] // grimm.cli._JSON_BLOCK
     text = "".join(parts)
     assert text == out.read_text(encoding="utf-8")
     assert text == grimm.cli.render_report(report, fmt)

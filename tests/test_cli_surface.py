@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import grimm
 import grimm.conjectures
 from grimm.cli import EXIT_ERROR, build_parser, run
 
@@ -184,6 +185,9 @@ def test_parsed_arguments(monkeypatch, argv, own):
     (("verify", "--limit", str(10**10)), "SIEVE_GUARD"),
     (("scan", "--m-max", str(10**30), "--n-max", "50"), "FACTORIZATION_BOUND"),
     (("scan", "--m-max", str(10**9), "--n-max", "100"), "ENUMERATION_GUARD"),
+    (("cramer-gap", "--n-min", "50000001", "--n-max", "50000001"), "SIEVE_GUARD"),
+    (("conjecture2", "--part", "i", "--n-min", str(10**9), "--n-max", str(10**9)), "SIEVE_GUARD"),
+    (("conjecture2", "--part", "ii", "--n-min", "100000001", "--n-max", "100000001"), "SIEVE_GUARD"),
 ])
 def test_guard_errors_name_their_guard(capsys, argv, guard):
     assert run(list(argv)) == EXIT_ERROR
@@ -196,6 +200,20 @@ def test_readme_lists_the_declared_subcommands():
     text = README.read_text(encoding="utf-8")
     table = text[text.index("| subcommand |"):].split("\n\n", 1)[0]
     assert re.findall(r"^\| `([^`]+)` \|", table, re.M) == _declared()
+
+
+def test_readme_library_names_exist():
+    # Every backticked plain identifier in a row of the Library table is an
+    # attribute of that row's module.
+    text = README.read_text(encoding="utf-8")
+    table = text[text.index("| module "):].split("\n\n", 1)[0]
+    rows = re.findall(r"^\| `(\w+)` +\| (.*) \|$", table, re.M)
+    assert len(rows) == 7
+    for module, contents in rows:
+        names = [name for name in re.findall(r"`([^`]+)`", contents) if name.isidentifier()]
+        assert names, module
+        missing = [name for name in names if not hasattr(getattr(grimm, module), name)]
+        assert not missing, (module, missing)
 
 
 def test_cli_import_leaves_multiprocessing_unloaded():

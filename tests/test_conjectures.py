@@ -6,7 +6,7 @@ import pytest
 import grimm.arith
 import grimm.assign
 import grimm.conjectures
-from grimm.arith import InternalContradiction, Window, largest_prime_factors
+from grimm.arith import SIEVE_GUARD, InternalContradiction, Window, largest_prime_factors
 from grimm.assign import exact_representation_exists, grimm_assignment
 from grimm.conjectures import (
     BLOCK_SPAN,
@@ -449,6 +449,35 @@ def test_conjecture2_ii_fixtures():
 def test_conjecture2_ii_no_violations_to_50():
     for n in range(3, 51):
         assert all(p.ok for p in conjecture2_ii(n)), n
+
+
+def test_prime_blocks_are_the_open_bands():
+    # Clause (i) and the Cramer report read the primes in (n, 2n); clause (ii)
+    # those in (n/2, n).  An off-by-one at either end of a band changes a block.
+    for n in range(2, 401):
+        assert cramer_gap_report(n).d == math.prod(
+            p for p in range(n + 1, 2 * n) if naive_is_prime(p)), n
+    for n in range(2, 31):
+        singles = [r.d for r in conjecture2_i(n) if r.d == r.q]
+        assert singles == [p for p in range(n + 1, 2 * n) if naive_is_prime(p)], n
+    for n in range(3, 61):
+        singles = [r.d for r in conjecture2_ii(n) if r.d == r.q]
+        assert singles == [p for p in range(n // 2 + 1, n) if naive_is_prime(p) and 2 * p > n], n
+
+
+def test_prime_blocks_keep_the_sieve_guard():
+    # A block's band stands in for the sieve up to its top, and is refused
+    # where that sieve was: 2n > SIEVE_GUARD for (n, 2n), n > SIEVE_GUARD for
+    # (n/2, n), before the band is struck and with the shared sieve unchanged.
+    before = grimm.arith.default_sieve().limit
+    half = SIEVE_GUARD // 2 + 1
+    for call, n in ((cramer_gap_report, half), (conjecture2_i, half),
+                    (conjecture2_ii, SIEVE_GUARD + 1), (cramer_gap_report, 10**9)):
+        with pytest.raises(ValueError, match="SIEVE_GUARD"):
+            call(n)
+    assert grimm.conjectures._band(SIEVE_GUARD - 30, SIEVE_GUARD) == [
+        p for p in range(SIEVE_GUARD - 30, SIEVE_GUARD) if naive_is_prime(p)]
+    assert grimm.arith.default_sieve().limit == before
 
 
 def test_cramer_record_n10():

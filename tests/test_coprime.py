@@ -8,8 +8,9 @@ from grimm.arith import Window, default_sieve, representation_threshold
 from grimm.coprime import (
     CanonicalRow,
     CoprimeRepresentation,
+    _checked_witness,
+    _witness,
     construct_representation,
-    dominant_prime_witness,
     full_representation,
     representation_from_factors,
     verify_representation,
@@ -146,14 +147,17 @@ def test_full_representation_sampled():
             assert verify_representation(rep)
 
 
+def witness(w: Window, i: int) -> int | None:
+    """The checked witness prime of the element m+i of the window, if any."""
+    return _checked_witness(w, w.m + i, _witness(w.m + i, w.n))
+
+
 def test_witness_fixtures():
-    assert dominant_prime_witness(Window(116, 10), 5) == 11  # 121 = 11^2 > 10
-    assert dominant_prime_witness(Window(2, 4), 4) is None   # 6 lies in H(4)
-    assert dominant_prime_witness(Window(0, 3), 2) is None   # 2 prime, 2 <= n
-    assert dominant_prime_witness(Window(0, 3), 1) is None   # element 1
-    assert dominant_prime_witness(Window(112, 4), 1) == 113  # prime > n
-    with pytest.raises(ValueError):
-        dominant_prime_witness(Window(10, 3), 4)
+    assert witness(Window(116, 10), 5) == 11  # 121 = 11^2 > 10
+    assert witness(Window(2, 4), 4) is None   # 6 lies in H(4)
+    assert witness(Window(0, 3), 2) is None   # 2 prime, 2 <= n
+    assert witness(Window(0, 3), 1) is None   # element 1
+    assert witness(Window(112, 4), 1) == 113  # prime > n
 
 
 def test_witness_properties_randomized():
@@ -163,7 +167,7 @@ def test_witness_properties_randomized():
         n = rng.randrange(1, 25)
         i = rng.randrange(1, n + 1)
         w = Window(m, n)
-        p = dominant_prime_witness(w, i)
+        p = witness(w, i)
         if p is not None:
             v = naive_vp(p, m + i)
             assert p**v > n

@@ -216,6 +216,9 @@ def test_band_primes_match_naive_walk():
         assert band_primes(lo, 2 * lo) == [x for x in range(lo, 2 * lo) if naive_is_prime(x)]
     lo = 500_009
     assert band_primes(lo, 2 * lo) == [x for x in range(lo, 2 * lo) if probable_prime(x)]
+    limit = default_sieve().limit
+    for hi in (limit, limit + 1, limit + 2):  # read off the sieve, or struck past it
+        assert band_primes(limit - 200, hi) == [x for x in range(limit - 200, hi) if probable_prime(x)]
 
 
 def test_band_primes_keep_the_shared_sieve():
@@ -225,3 +228,4 @@ def test_band_primes_keep_the_shared_sieve():
     lo = 10**13
     assert band_primes(lo, lo + 3000) == [x for x in range(lo, lo + 3000) if probable_prime(x)]
     assert default_sieve().limit == before
+

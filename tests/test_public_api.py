@@ -9,14 +9,13 @@ PUBLIC = [
     "Window", "arith", "assign", "conjecture1_probe", "conjecture2_i",
     "conjecture2_ii", "conjectures", "construct_representation", "coprime",
     "cramer_gap_report", "cramer_gap_scan", "default_sieve",
-    "dominant_prime_witness", "enumerate_composite_runs", "enumerate_hn",
-    "exact_representation_exists", "factorize", "full_representation", "g_of_m",
-    "generate", "grimm_assignment", "hn_cardinality", "in_hn", "is_prime",
-    "matching", "max_matching", "prime_count", "prime_divisors", "primegen",
-    "probable_prime", "representation_from_factors", "representation_threshold",
-    "scan_counterexamples", "select_pool", "smooth", "sweep",
-    "verify_grimm_range", "verify_representation", "verify_small_windows", "vp",
-    "vp_binomial", "vp_factorial", "w_of_m",
+    "enumerate_composite_runs", "enumerate_hn", "exact_representation_exists",
+    "factorize", "full_representation", "g_of_m", "generate", "grimm_assignment",
+    "hn_cardinality", "in_hn", "is_prime", "matching", "max_matching",
+    "prime_divisors", "primegen", "probable_prime", "representation_from_factors",
+    "representation_threshold", "scan_counterexamples", "select_pool", "smooth",
+    "sweep", "verify_grimm_range", "verify_representation", "verify_small_windows",
+    "vp_binomial", "w_of_m",
 ]
 
 

@@ -1,9 +1,17 @@
+import math
 from itertools import chain
 
 import pytest
 
+import grimm.arith
 import grimm.smooth
-from grimm.arith import InternalContradiction, default_sieve, representation_threshold
+from grimm.arith import (
+    DEFAULT_SIEVE_LIMIT,
+    InternalContradiction,
+    PrimeSieve,
+    default_sieve,
+    representation_threshold,
+)
 from grimm.smooth import (
     ENUMERATION_GUARD,
     enumerate_hn,
@@ -97,6 +105,18 @@ def test_enumeration_guard():
     with pytest.raises(ValueError, match=r"H\(3000000\) enumeration needs 20000000 .* = 10000000$"):
         hn_segments(3 * 10**6, 2 * 10**7)
     assert default_sieve().limit == before
+
+
+def test_prime_pass_continues_past_the_default_sieve(monkeypatch):
+    # n just past the default sieve: _primes_upto reads its primes, then the
+    # grown sieve's from where they ended, with none repeated or skipped.
+    monkeypatch.setattr(grimm.arith, "_sieve", grimm.arith._sieve)  # restored after
+    n = DEFAULT_SIEVE_LIMIT + 100
+    primes = PrimeSieve(n).primes
+    assert primes[-1] > default_sieve().primes[-1]
+    assert list(grimm.smooth._primes_upto(n)) == primes
+    exponents = [sum(p**k <= n for k in range(1, 21)) for p in primes]  # 2^20 > n
+    assert hn_cardinality(n) == math.prod(1 + e for e in exponents) - 1 - len(primes)
 
 
 def test_invalid_n():
