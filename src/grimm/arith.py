@@ -209,15 +209,18 @@ def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
 
 
 def all_prime(xs: list[int]) -> bool:
-    """Whether every x in xs is prime: read off the shared sieve's table
-    when all of them lie within it, by is_prime otherwise."""
+    """Whether every x in xs is prime: the entries within the shared sieve
+    are read off its table, and only those beyond it go to is_prime."""
     sieve = default_sieve()
     if xs and 2 <= min(xs) and max(xs) <= sieve.limit:
         # Within the sieve, x >= 2 is prime iff it has no smallest-prime-factor
         # entry.  One itemgetter gathers them all; the leading 0 reads _spf[0],
         # which is 0, and makes a single x still give a tuple.
         return not any(itemgetter(0, *xs)(sieve._spf))
-    return all(map(is_prime, xs))
+    inside = [x for x in xs if x <= sieve.limit]
+    if inside and not (min(inside) >= 2 and all_prime(inside)):
+        return False
+    return all(is_prime(x) for x in xs if x > sieve.limit)
 
 
 def _brent_rho(n: int) -> int:

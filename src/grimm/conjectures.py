@@ -22,6 +22,7 @@ reach of even squared-log prime gaps.
 from __future__ import annotations
 
 import bisect
+import functools
 import itertools
 import math
 import random
@@ -54,17 +55,32 @@ class CompositeRun:
         return self.start + self.length - 1
 
 
-def _composite_gaps(limit: int, min_len: int) -> list[tuple[int, int]]:
-    """(m, n) for each maximal run m+1 .. m+n of n >= min_len composites within [2, limit]."""
+# verify and runs walk [2, limit] in value blocks of this many integers.
+BLOCK_SPAN = 1 << 16
+
+
+def _gap_blocks(limit: int, min_len: int) -> list[tuple[int, int]]:
+    """The value blocks [lo, hi) that together hold the primes 2 .. limit,
+    each BLOCK_SPAN wide but the last."""
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
-    # The primes up to limit bound every run but the last; that one is
-    # maximal within the limit only when limit + 1 is prime.
-    ps = default_sieve(limit).primes
-    k = bisect.bisect_right(ps, limit)
-    last = [limit + 1] if k and is_prime(limit + 1) else []
-    ends = itertools.chain(itertools.islice(ps, 1, k), last)
-    return [(p, q - p - 1) for p, q in zip(ps, ends) if q - p > min_len]
+    default_sieve(limit)
+    return [(lo, min(lo + BLOCK_SPAN, limit + 1)) for lo in range(2, limit + 1, BLOCK_SPAN)]
+
+
+def _block_gaps(lo: int, hi: int, limit: int, min_len: int) -> list[tuple[int, int]]:
+    """(p, q - p - 1) for consecutive primes p < q with lo <= p < hi and
+    q <= limit + 1, when q - p > min_len: the maximal runs p+1 .. q-1 of at
+    least min_len composites within [2, limit] that start in the block."""
+    ps = band_primes(lo, hi)
+    # The block's last run closes at the first prime from hi on, so it is
+    # maximal within the limit only when that prime is at most limit + 1.
+    for ahead in range(hi, limit + 2, 64):
+        closing = band_primes(ahead, min(ahead + 64, limit + 2))
+        if closing:
+            ps.append(closing[0])
+            break
+    return [(p, q - p - 1) for p, q in zip(ps, ps[1:]) if q - p > min_len]
 
 
 def enumerate_composite_runs(limit: int, min_len: int = 1) -> list[CompositeRun]:
@@ -73,7 +89,11 @@ def enumerate_composite_runs(limit: int, min_len: int = 1) -> list[CompositeRun]
     Maximality at the right edge is decided by looking one past the limit,
     so a run ending exactly at `limit` is included when limit+1 is prime.
     """
-    return [CompositeRun(start=m + 1, length=n) for m, n in _composite_gaps(limit, min_len)]
+    return [
+        CompositeRun(start=m + 1, length=n)
+        for block in _gap_blocks(limit, min_len)
+        for m, n in _block_gaps(*block, limit, min_len)
+    ]
 
 
 @dataclass
@@ -98,12 +118,6 @@ class VerificationReport:
         return not self.failures
 
 
-# A verify block holds at most this many runs and spans at most this many
-# integers, so the P(x) column it builds stays small whatever --min-len is.
-BLOCK_RUNS = 4096
-BLOCK_SPAN = 1 << 16
-
-
 def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
     m0 = windows[0][0]
     tops = largest_prime_factors(m0 + 1, sum(windows[-1]))
@@ -119,17 +133,23 @@ def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
     return out
 
 
-def map_blocks(fn, blocks: list, workers: int) -> list:
-    """The concatenated lists fn(block), in block order: in-process, or in a
-    pool of at most one worker per block."""
-    if workers <= 1 or len(blocks) <= 1:
-        pieces = map(fn, blocks)
-    else:
-        import multiprocessing  # only here: most runs never start a pool
+def _grimm_block(
+    block: tuple[int, int], limit: int, min_len: int
+) -> tuple[int, list[GrimmFailure]]:
+    """The number of runs that start in the value block, and their failures."""
+    windows = _block_gaps(*block, limit, min_len)
+    return len(windows), _grimm_chunk(windows) if windows else []
 
-        with multiprocessing.Pool(min(workers, len(blocks))) as pool:
-            pieces = pool.map(fn, blocks)
-    return [item for piece in pieces for item in piece]
+
+def map_blocks(fn, blocks: list, workers: int) -> list:
+    """[fn(block) for block in blocks]: in-process, or in a pool of at most
+    one worker per block."""
+    if workers <= 1 or len(blocks) <= 1:
+        return list(map(fn, blocks))
+    import multiprocessing  # only here: most runs never start a pool
+
+    with multiprocessing.Pool(min(workers, len(blocks))) as pool:
+        return pool.map(fn, blocks)
 
 
 def verify_grimm_range(limit: int, min_len: int = 1, workers: int = 1) -> VerificationReport:
@@ -137,30 +157,25 @@ def verify_grimm_range(limit: int, min_len: int = 1, workers: int = 1) -> Verifi
     within the limit.
 
     An assignment for a maximal run restricts to every sub-window, so runs
-    are the only windows that need checking.  The runs are cut into blocks
-    of at most BLOCK_RUNS runs spanning at most BLOCK_SPAN integers; each
-    block builds and checks one largest-prime-factor column over its span.
-    A run whose n entries are distinct is settled by them: each is a
-    checked prime dividing its element.  Only a run where two elements
-    share their largest prime factor goes to _settle_grimm.  The blocks do
-    not depend on the worker count, and neither does the report content.
+    are the only windows that need checking.  [2, limit] is cut into value
+    blocks of BLOCK_SPAN integers; each block reads its own primes, builds
+    the runs that start in it (the last one closes at the first prime past
+    the block, and at the limit only when limit + 1 is prime), and checks
+    them with one largest-prime-factor column over their span, at most
+    BLOCK_SPAN plus one prime gap.  A run whose n entries are distinct is
+    settled by them: each is a checked prime dividing its element.  Only a
+    run where two elements share their largest prime factor goes to
+    _settle_grimm.  No list of all the runs is built, so memory is the
+    sieve's plus one block.  The blocks do not depend on the worker count,
+    and neither does the report content.
     """
     t0 = time.monotonic()
-    windows = _composite_gaps(limit, min_len)
-    blocks = []
-    i = 0
-    while i < len(windows):
-        # Run i starts a block; it ends before the first run that reaches
-        # past BLOCK_SPAN integers from its start (m + n is a run's last
-        # element), or after BLOCK_RUNS runs.
-        hi = min(i + BLOCK_RUNS, len(windows))
-        j = bisect.bisect_right(windows, windows[i][0] + BLOCK_SPAN, i + 1, hi, key=sum)
-        blocks.append(windows[i:j])
-        i = j
+    check = functools.partial(_grimm_block, limit=limit, min_len=min_len)
+    pieces = map_blocks(check, _gap_blocks(limit, min_len), workers)
     return VerificationReport(
         range_limit=limit,
-        windows_checked=len(windows),
-        failures=map_blocks(_grimm_chunk, blocks, workers),
+        windows_checked=sum(count for count, _ in pieces),
+        failures=[f for _, failures in pieces for f in failures],
         elapsed=time.monotonic() - t0,
         worker_count=workers,
     )
@@ -387,12 +402,23 @@ class CramerGapRecord:
     holds: bool | None
 
 
+def _product(xs: list[int]) -> int:
+    """math.prod(xs) as a balanced product tree: neighbours are multiplied
+    pairwise until one factor is left, so each large multiplication has two
+    factors of about the same size.  Its leaves are products of 64 entries,
+    which math.prod forms faster than the tree would."""
+    xs = [math.prod(xs[i : i + 64]) for i in range(0, len(xs), 64)]
+    while len(xs) > 1:
+        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1 :]
+    return xs[0] if xs else 1
+
+
 def cramer_gap_report(n: int) -> CramerGapRecord:
     if n < 2:
         raise ValueError("defined for n >= 2")
     block = _band(n + 1, 2 * n)
     q = block[0]
-    d = math.prod(block)
+    d = _product(block)
     if d - q <= 0:
         return CramerGapRecord(n=n, q=q, d=d, lhs=2.0 * q, rhs=None, holds=None)
     # math.log is exact to a few ulp on arbitrary-size ints, far inside

@@ -293,6 +293,25 @@ def test_all_prime_table_and_beyond():
     assert not all_prime([2, beyond[0] * 3])
 
 
+def test_all_prime_sends_only_entries_beyond_the_sieve_to_is_prime(monkeypatch):
+    limit = default_sieve().limit
+    beyond = [p for p in range(limit + 1, limit + 200) if naive_is_prime(p)]
+    tested = []
+    strong = grimm.arith.is_prime
+    monkeypatch.setattr(grimm.arith, "is_prime", lambda x: tested.append(x) or strong(x))
+    assert all_prime([2, 3, 999_983])
+    assert tested == []
+    assert all_prime([2, *beyond, 7919, 999_983])
+    assert tested == beyond
+    tested.clear()
+    # an entry within the sieve that is not prime settles it with no strong rounds
+    for inside in (999_981, 1, 0, -7):
+        assert not all_prime([*beyond, inside]), inside
+    assert tested == []
+    assert not all_prime([2, *beyond, beyond[0] * 3])
+    assert tested == [*beyond, beyond[0] * 3]
+
+
 def test_sieve_table_is_16_bit_smallest_prime_factors():
     s = PrimeSieve(5000)
     assert s._spf.itemsize == 2

@@ -17,7 +17,7 @@ from grimm.assign import (
     w_of_m,
 )
 from grimm.cli import EXIT_FINDINGS, EXIT_INTERNAL, run
-from grimm.conjectures import verify_grimm_range
+from grimm.conjectures import BLOCK_SPAN, verify_grimm_range
 from grimm.coprime import CanonicalRow, InternalContradiction, verify_representation
 from grimm.matching import augment
 from oracles import exact_representation_feasible, grimm_feasible
@@ -279,8 +279,8 @@ def pool_sizes(monkeypatch):
 
 def test_verify_pool_holds_at_most_one_worker_per_block(pool_sizes):
     solo = verify_grimm_range(2 * 10**5)
-    blocks = -(-solo.windows_checked // 4096)
-    assert pool_sizes == [] and blocks == 5
+    blocks = -(-(2 * 10**5 - 1) // BLOCK_SPAN)  # value blocks over [2, 200000]
+    assert pool_sizes == [] and blocks == 4
     assert verify_grimm_range(2 * 10**5, workers=64).failures == solo.failures
     assert verify_grimm_range(2 * 10**5, workers=2).failures == solo.failures
     assert pool_sizes == [blocks, 2]

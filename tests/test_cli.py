@@ -110,6 +110,24 @@ def test_verify_clean_range(capsys):
     assert "elapsed_seconds" not in report
 
 
+def test_verify_report_is_the_same_at_1_and_2_workers(capsys):
+    # The report records the worker count in two fields; every other byte
+    # is the same, and the blocks cross the 2^16-wide value block edges.
+    reports = []
+    for workers in (1, 2):
+        code, out = run_capture(
+            capsys, "verify", "--limit", "300000", "--workers", str(workers), "--format", "json"
+        )
+        assert code == EXIT_OK
+        for field in ("workers", "worker_count"):
+            recorded = f'"{field}": {workers}\n'
+            assert out.count(recorded) == 1
+            out = out.replace(recorded, f'"{field}": 0\n')
+        reports.append(out)
+    assert reports[0] == reports[1]
+    assert json.loads(reports[0])["result"]["windows_checked"] == 25_995
+
+
 def test_factorize_window(capsys):
     code, out = run_capture(
         capsys, "factorize", "--m", "203", "--n", "7", "--format", "json"

@@ -1,5 +1,7 @@
+import itertools
 import math
 import multiprocessing
+import tracemalloc
 
 import pytest
 
@@ -11,8 +13,10 @@ from grimm.assign import exact_representation_exists, grimm_assignment
 from grimm.conjectures import (
     BLOCK_SPAN,
     CompositeRun,
-    _composite_gaps,
+    _block_gaps,
+    _gap_blocks,
     _grimm_chunk,
+    _product,
     conjecture1_probe,
     conjecture2_i,
     conjecture2_ii,
@@ -23,6 +27,7 @@ from grimm.conjectures import (
     verify_grimm_range,
     verify_small_windows,
 )
+from grimm.primegen import band_primes
 from oracles import (
     brute_hn,
     exact_representation_feasible,
@@ -50,6 +55,30 @@ RUNS_427_7 = [
     (402, 7),
     (410, 9),
 ]
+
+
+def gaps(limit, min_len=1):
+    """(m, n) for each maximal run m+1 .. m+n of the walk, block by block."""
+    blocks = _gap_blocks(limit, min_len)
+    return [gap for block in blocks for gap in _block_gaps(*block, limit, min_len)]
+
+
+def walked_gaps(limit, min_len):
+    """(m, n) for each maximal run m+1 .. m+n of n >= min_len composites
+    within [2, limit], by a walk over a plain sieve up to limit + 1."""
+    prime = bytearray([1]) * (limit + 2)
+    prime[:2] = b"\x00\x00"
+    for p in range(2, math.isqrt(limit + 1) + 1):
+        if prime[p]:
+            prime[p * p :: p] = bytes(len(range(p * p, limit + 2, p)))
+    walked = []
+    last = None  # the last prime seen; a run closes at the next one
+    for x in range(2, limit + 2):
+        if prime[x]:
+            if last is not None and x - last > min_len:
+                walked.append((last, x - last - 1))
+            last = x
+    return walked
 
 
 def test_runs_427_against_prime_gaps():
@@ -109,9 +138,9 @@ def test_composite_gaps_match_a_naive_walk():
                 last = x
         for min_len in range(1, 11):
             expected = [(m, n) for m, n in walked if n >= min_len]
-            assert _composite_gaps(limit, min_len) == expected, (limit, min_len)
+            assert gaps(limit, min_len) == expected, (limit, min_len)
     with pytest.raises(ValueError):
-        _composite_gaps(100, 0)
+        verify_grimm_range(100, 0)
 
 
 def test_composite_gaps_at_the_top_of_the_sieve(monkeypatch):
@@ -128,8 +157,8 @@ def test_composite_gaps_at_the_top_of_the_sieve(monkeypatch):
                 if last is not None and x - last > 1:
                     walked.append((last, x - last - 1))
                 last = x
-        assert _composite_gaps(limit, 1)[-len(walked):] == walked, limit
-    assert naive_is_prime(1_000_003) and _composite_gaps(1_000_002, 1)[-1] == (999_983, 19)
+        assert gaps(limit)[-len(walked):] == walked, limit
+    assert naive_is_prime(1_000_003) and gaps(1_000_002)[-1] == (999_983, 19)
 
 
 def test_verify_at_the_default_limit_builds_no_sieve(monkeypatch):
@@ -145,8 +174,8 @@ def test_verify_at_the_default_limit_builds_no_sieve(monkeypatch):
 
     monkeypatch.setattr(grimm.arith.PrimeSieve, "__init__", counting)
     report = verify_grimm_range(10**6)
+    assert report.ok and report.windows_checked == len(gaps(10**6))
     assert built == []
-    assert report.ok and report.windows_checked == len(_composite_gaps(10**6, 1))
 
 
 def test_verify_grimm_small_ranges():
@@ -233,7 +262,7 @@ def test_only_smooth_runs_reach_the_settle_walk(monkeypatch):
         return grimm.assign._settle_grimm(w, tops)
 
     monkeypatch.setattr(grimm.conjectures, "_settle_grimm", recording)
-    windows = _composite_gaps(2 * 10**4, 1)
+    windows = gaps(2 * 10**4)
     assert _grimm_chunk(windows) == []
 
     def shared_top(m, n):
@@ -251,22 +280,57 @@ def test_grimm_chunk_matches_oracle_on_runs(min_len):
 
 
 def test_verify_blocks_bound_their_columns(monkeypatch):
-    spans = []
+    columns = []
 
     def recording(lo, hi):
-        spans.append(hi - lo + 1)
+        columns.append((lo, hi))
         return largest_prime_factors(lo, hi)
 
     monkeypatch.setattr(grimm.conjectures, "largest_prime_factors", recording)
     report = verify_grimm_range(10**5, min_len=30)
-    windows = [(r.start - 1, r.length) for r in enumerate_composite_runs(10**5, 30)]
+    windows = gaps(10**5, 30)
     assert report.windows_checked == len(windows)
     assert [(f.m, f.n) for f in report.failures] == [
         (m, n) for m, n in windows if grimm_assignment(Window(m, n)) is None
     ]
-    # Sparse runs: the count cap alone would put all of them in one block.
-    assert len(windows) < 4096 and len(spans) >= 2
-    assert max(spans) <= BLOCK_SPAN == 1 << 16
+    # One column per value block: it starts past the block's first integer
+    # and ends before the first prime from the block's end.
+    blocks = _gap_blocks(10**5, 30)
+    assert blocks == [(2, 2 + BLOCK_SPAN), (2 + BLOCK_SPAN, 10**5 + 1)]
+    assert BLOCK_SPAN == 1 << 16 and len(columns) == len(blocks)
+    for (lo, hi), (first, last) in zip(blocks, columns):
+        closing = next(x for x in itertools.count(hi) if naive_is_prime(x))
+        assert lo < first <= last < closing
+
+
+@pytest.mark.parametrize("min_len", [1, 7])
+@pytest.mark.parametrize("limit", [
+    BLOCK_SPAN - 1, BLOCK_SPAN, BLOCK_SPAN + 1, 2 * BLOCK_SPAN + 1,
+    1_000_002,  # limit + 1 = 1,000,003 is prime, past the sieve verify builds
+])
+def test_verify_blocks_match_a_naive_walk(monkeypatch, limit, min_len):
+    # Every run that reaches the augmenting walk is made to fail, so the
+    # failures list them in run order across the block edges.
+    monkeypatch.setattr(grimm.arith, "_sieve", grimm.arith.default_sieve())  # drop a grown one
+    monkeypatch.setattr(grimm.conjectures, "_settle_grimm", lambda w, tops: 0)
+    windows = walked_gaps(limit, min_len)
+    report = verify_grimm_range(limit, min_len)
+    assert report.windows_checked == len(windows)
+    assert report.failures and report.failures == _grimm_chunk(windows)
+
+
+def test_verify_traced_peak_is_one_block():
+    # No list of all 78,496 runs: the traced peak is one block's primes,
+    # runs and column, not the range's (6.7 MB with a whole-range run list).
+    grimm.arith.default_sieve(10**6)
+    tracemalloc.start()
+    try:
+        report = verify_grimm_range(10**6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.ok and report.windows_checked == 78_496
+    assert peak < 3 * 2**20, peak
 
 
 def test_verify_grimm_worker_independence():
@@ -278,23 +342,26 @@ def test_verify_grimm_worker_independence():
 
 
 def test_verify_blocks_under_spawn(monkeypatch):
-    # Spawned workers start from a fresh import: each block builds its own
-    # sieve and column, and nothing comes from an inherited global.
-    blocks = []
+    # Spawned workers start from a fresh import: each block reads its own
+    # primes and builds its own column, and nothing comes from an inherited
+    # global.
+    calls = []
     with monkeypatch.context() as patch:
         patch.setattr(
             grimm.conjectures,
             "map_blocks",
-            lambda fn, bs, workers: blocks.extend(bs) or map_blocks(fn, bs, workers),
+            lambda fn, bs, workers: calls.append((fn, bs)) or map_blocks(fn, bs, workers),
         )
         solo = verify_grimm_range(2 * 10**5)
+    ((check, blocks),) = calls
     assert len(blocks) >= 2
-    blocks.append([(1, 3)])  # 2, 3, 4: stuck at 4
     with multiprocessing.get_context("spawn").Pool(2) as pool:
-        spawned = pool.map_async(_grimm_chunk, blocks).get(timeout=120)
-    assert spawned == [_grimm_chunk(b) for b in blocks]
-    assert sum(spawned[:-1], []) == solo.failures
-    assert [f.reason for f in spawned[-1]] == ["no distinct prime for 4"]
+        spawned = pool.map_async(check, blocks).get(timeout=120)
+        stuck = pool.apply_async(_grimm_chunk, ([(1, 3)],)).get(timeout=120)  # 2, 3, 4
+    assert spawned == [check(b) for b in blocks]
+    assert sum(count for count, _ in spawned) == solo.windows_checked
+    assert [f for _, failures in spawned for f in failures] == solo.failures
+    assert [f.reason for f in stuck] == ["no distinct prime for 4"]
     duo = verify_grimm_range(2 * 10**5, workers=2)
     assert (duo.failures, duo.windows_checked) == (solo.failures, solo.windows_checked)
 
@@ -478,6 +545,14 @@ def test_prime_blocks_keep_the_sieve_guard():
     assert grimm.conjectures._band(SIEVE_GUARD - 30, SIEVE_GUARD) == [
         p for p in range(SIEVE_GUARD - 30, SIEVE_GUARD) if naive_is_prime(p)]
     assert grimm.arith.default_sieve().limit == before
+
+
+def test_cramer_product_tree_is_math_prod():
+    for n in (2, 10, 100, 1000, 5000, 30000):
+        block = band_primes(n + 1, 2 * n)
+        assert _product(block) == math.prod(block), n
+    assert _product([]) == 1 and _product([7]) == 7
+    assert _product(list(range(1, 300))) == math.factorial(299)
 
 
 def test_cramer_record_n10():
