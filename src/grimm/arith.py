@@ -14,8 +14,9 @@ import math
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import compress
+from itertools import compress, islice, takewhile
 from operator import itemgetter
+from typing import Iterator
 
 # Strong-test witness sets, each proven below its bound: Sinclair's 7 bases below
 # 2^64, the prime bases 2..41 below psi_13 (Sorenson & Webster, Math. Comp. 2017).
@@ -33,6 +34,9 @@ DEFAULT_SIEVE_LIMIT = 10**6
 # primes; refuse anything bigger before allocating.  Each entry is a prime
 # <= isqrt(SIEVE_GUARD) < 2^16, so it fits.
 SIEVE_GUARD = 10**8
+
+# Primes past the shared sieve are struck in bands of this many integers.
+BLOCK_SPAN = 1 << 16
 
 # Trial division hands off to rho once the trial prime exceeds this, so
 # inputs up to _TRIAL_CAP^2 are fully factored by trial division alone.
@@ -65,6 +69,12 @@ class Window:
         return range(self.m + 1, self.m + self.n + 1)
 
 
+def _check_sieve_limit(limit: int) -> None:
+    """Refuse the primes up to a limit above SIEVE_GUARD before reading any."""
+    if limit > SIEVE_GUARD:
+        raise ValueError(f"sieve limit {limit} exceeds SIEVE_GUARD = {SIEVE_GUARD}")
+
+
 class PrimeSieve:
     """Smallest-prime-factor table with the ascending list of primes.
 
@@ -77,8 +87,7 @@ class PrimeSieve:
     """
 
     def __init__(self, limit: int):
-        if limit > SIEVE_GUARD:
-            raise ValueError(f"sieve limit {limit} exceeds SIEVE_GUARD = {SIEVE_GUARD}")
+        _check_sieve_limit(limit)
         limit = max(limit, 3)
         self.limit = limit
         root = math.isqrt(limit)
@@ -131,12 +140,49 @@ _sieve: PrimeSieve | None = None
 
 
 def default_sieve(min_limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeSieve:
-    """The shared sieve, grown on demand.  Construction is single-threaded;
-    callers that fork workers should build it once in the parent first."""
+    """The shared sieve; only verify_grimm_range grows it.  Construction is
+    single-threaded; callers that fork workers should build it once first."""
     global _sieve
     if _sieve is None or _sieve.limit < min_limit:
         _sieve = PrimeSieve(max(min_limit, DEFAULT_SIEVE_LIMIT))
     return _sieve
+
+
+def _strike(start: int, count: int, below: int) -> bytearray:
+    """alive[i] = 0 exactly when start + i is a multiple of one of the shared
+    sieve's primes below `below` other than the prime itself."""
+    primes = default_sieve().primes
+    alive = bytearray(b"\x01") * count
+    for p in islice(primes, bisect.bisect_left(primes, below)):
+        i = -start % p
+        if i < count:
+            alive[i::p] = bytes(len(range(i, count, p)))
+            if start <= p < start + count:
+                alive[p - start] = 1
+    return alive
+
+
+def band_primes(lo: int, hi: int) -> list[int]:
+    """The primes in [lo, hi), 2 <= lo, unguarded: read off the shared sieve
+    if it reaches hi - 1, else the survivors of a strike of the band by its
+    primes up to sqrt(hi - 1), without growing it.  A composite survivor
+    exceeds limit^2, so is_prime decides only those."""
+    sieve = default_sieve()
+    primes, square = sieve.primes, sieve.limit**2
+    if hi - 1 <= sieve.limit:
+        return primes[bisect.bisect_left(primes, lo) : bisect.bisect_left(primes, hi)]
+    alive = _strike(lo, hi - lo, math.isqrt(hi - 1) + 1)
+    return [x for x in compress(range(lo, hi), alive) if x <= square or is_prime(x)]
+
+
+def primes_upto(n: int) -> Iterator[int]:
+    """The primes <= n, ascending: the shared sieve's, then band_primes in bands
+    of BLOCK_SPAN past it.  n > SIEVE_GUARD is refused once it reads that far."""
+    sieve = default_sieve()
+    yield from takewhile(n.__ge__, sieve.primes)
+    _check_sieve_limit(n)
+    for lo in range(sieve.limit + 1, n + 1, BLOCK_SPAN):
+        yield from band_primes(lo, min(lo + BLOCK_SPAN, n + 1))
 
 
 def is_prime(x: int) -> bool:
@@ -367,6 +413,15 @@ def _vp_binomial(p: int, m: int, n: int) -> int:
     return total
 
 
+def _max_exponent(p: int, n: int) -> int:
+    """floor(log_p n): the largest e with p^e <= n, computed exactly."""
+    e, q = 0, p
+    while q <= n:
+        e += 1
+        q *= p
+    return e
+
+
 def representation_threshold(n: int) -> int:
     """Product over primes p <= n of the largest power of p not exceeding n.
 
@@ -376,13 +431,5 @@ def representation_threshold(n: int) -> int:
     """
     if n < 2:
         raise ValueError(f"threshold defined for n >= 2, got {n}")
-    sieve = default_sieve(n)
-    out = 1
-    for p in sieve.primes:
-        if p > n:
-            break
-        q = p
-        while q * p <= n:
-            q *= p
-        out *= q
-    return out
+    _check_sieve_limit(n)  # before the product, not once the stream reaches n
+    return math.prod(p ** _max_exponent(p, n) for p in primes_upto(n))

@@ -29,6 +29,7 @@ from .arith import (
     FACTORIZATION_BOUND,
     Window,
     all_prime,
+    band_primes,
     largest_prime_factors,
     largest_prime_power,
     prime_divisors,
@@ -40,7 +41,6 @@ from .coprime import (
     verify_representation,
 )
 from .matching import augment, max_matching
-from .primegen import band_primes
 from .smooth import hn_segments
 
 

@@ -21,7 +21,6 @@ reach of even squared-log prime gaps.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import itertools
 import math
@@ -29,7 +28,15 @@ import random
 import time
 from dataclasses import dataclass, field
 
-from .arith import SIEVE_GUARD, Window, default_sieve, is_prime, largest_prime_factors
+from .arith import (
+    BLOCK_SPAN,
+    Window,
+    _check_sieve_limit,
+    band_primes,
+    default_sieve,
+    is_prime,
+    largest_prime_factors,
+)
 from .assign import (
     RepresentationDecision,
     _check_column,
@@ -38,7 +45,7 @@ from .assign import (
     scan_counterexamples,
 )
 from .coprime import _checked_witness, _witness
-from .primegen import band_primes, first_prime
+from .primegen import first_prime
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
 
@@ -55,16 +62,12 @@ class CompositeRun:
         return self.start + self.length - 1
 
 
-# verify and runs walk [2, limit] in value blocks of this many integers.
-BLOCK_SPAN = 1 << 16
-
-
 def _gap_blocks(limit: int, min_len: int) -> list[tuple[int, int]]:
     """The value blocks [lo, hi) that together hold the primes 2 .. limit,
-    each BLOCK_SPAN wide but the last."""
+    each BLOCK_SPAN wide but the last; a limit above SIEVE_GUARD is refused."""
     if min_len < 1:
         raise ValueError("min_len must be >= 1")
-    default_sieve(limit)
+    _check_sieve_limit(limit)
     return [(lo, min(lo + BLOCK_SPAN, limit + 1)) for lo in range(2, limit + 1, BLOCK_SPAN)]
 
 
@@ -166,12 +169,16 @@ def verify_grimm_range(limit: int, min_len: int = 1, workers: int = 1) -> Verifi
     settled by them: each is a checked prime dividing its element.  Only a
     run where two elements share their largest prime factor goes to
     _settle_grimm.  No list of all the runs is built, so memory is the
-    sieve's plus one block.  The blocks do not depend on the worker count,
-    and neither does the report content.
+    sieve's plus one block.  The column and its check read the shared sieve,
+    so it is grown to the limit here, before any worker forks: the one place
+    that grows it.  The blocks do not depend on the worker count, and neither
+    does the report content.
     """
     t0 = time.monotonic()
+    blocks = _gap_blocks(limit, min_len)
+    default_sieve(limit)
     check = functools.partial(_grimm_block, limit=limit, min_len=min_len)
-    pieces = map_blocks(check, _gap_blocks(limit, min_len), workers)
+    pieces = map_blocks(check, blocks, workers)
     return VerificationReport(
         range_limit=limit,
         windows_checked=sum(count for count, _ in pieces),
@@ -215,25 +222,22 @@ def _windows_in_run(k: int, max_n: int) -> int:
 def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
     """The failures are those of scan_counterexamples on m <= m_max, 2 <= n <= max_n.
 
-    One pass over the consecutive primes p < q: the rows m = p .. q - 1
-    have the q - m - 1 composites p + 1 .. q - 1 ahead of them, so the gap
-    is counted in closed form, and only its full-width windows are visited.
+    One pass over verify's gaps of k = q - p - 1 composites between primes
+    p < q, p <= m_max (q <= 2 * m_max by Bertrand): the rows m = p .. q - 1 have
+    the q - m - 1 composites p + 1 .. q - 1 ahead of them, so the gap is
+    counted in closed form, and only its full-width windows are visited.
     """
     if m_max < 1 or max_n < 1:
         raise ValueError(f"need m_max >= 1 and max_n >= 1, got m_max={m_max}, max_n={max_n}")
-    # A gap that ends past cap holds every full-width window of its rows
-    # m <= m_max, so q is capped there.
-    cap = m_max + max_n + 1
-    ps = default_sieve(cap).primes
-    ends = itertools.chain(itertools.islice(ps, 1, None), [cap])
+    _check_sieve_limit(m_max + max_n + 1)
     checked = 0
     fallback = []
-    for p, q in zip(itertools.islice(ps, bisect.bisect_right(ps, m_max)), ends):
-        q = min(q, cap)
-        # The gap's windows, less those starting past m_max: those lie within
-        # its last q - m_max - 2 composites.
-        checked += _windows_in_run(q - p - 1, max_n) - _windows_in_run(q - m_max - 2, max_n)
-        top = min(q - 1 - max_n, m_max)
+    gaps = (gap for block in _gap_blocks(m_max, 1) for gap in _block_gaps(*block, 2 * m_max + 2, 1))
+    for p, k in gaps:
+        # The windows in the gap's k composites, less those starting past m_max:
+        # those lie within its last p + k - m_max - 1 composites.
+        checked += _windows_in_run(k, max_n) - _windows_in_run(p + k - m_max - 1, max_n)
+        top = min(p + k - max_n, m_max)
         found = {x: _witness(x, max_n) for x in range(p + 1, top + max_n + 1)} if top >= p else {}
         for m in range(p, top + 1):
             w = Window(m, max_n)
@@ -330,8 +334,7 @@ def _block_divisors(primes: list[int], budget: int | None, seed: int):
 
 def _band(lo: int, hi: int) -> list[int]:
     """band_primes(lo, hi), refused as the sieve up to hi that it stands in for is."""
-    if hi > SIEVE_GUARD:
-        raise ValueError(f"sieve limit {hi} exceeds SIEVE_GUARD = {SIEVE_GUARD}")
+    _check_sieve_limit(hi)
     return band_primes(lo, hi)
 
 

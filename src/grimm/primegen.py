@@ -9,12 +9,10 @@ n = 2*floor(p_1/2) + 1, so it is reported rather than raised.
 
 from __future__ import annotations
 
-import bisect
 import math
 from dataclasses import dataclass
-from itertools import compress, islice
 
-from .arith import DEFAULT_SIEVE_LIMIT, default_sieve, is_prime, probable_prime
+from .arith import DEFAULT_SIEVE_LIMIT, _strike, band_primes, probable_prime
 
 DEFAULT_MR_ROUNDS = 40
 
@@ -140,32 +138,6 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
     return PrimePool(primes=tuple(found))
 
 
-def _strike(start: int, count: int, primes) -> bytearray:
-    """alive[i] = 0 exactly when start + i is a multiple of one of the given
-    primes other than the prime itself."""
-    alive = bytearray(b"\x01") * count
-    for p in primes:
-        i = -start % p
-        if i < count:
-            alive[i::p] = bytes(len(range(i, count, p)))
-            if start <= p < start + count:
-                alive[p - start] = 1
-    return alive
-
-
-def band_primes(lo: int, hi: int) -> list[int]:
-    """The primes in [lo, hi), 2 <= lo: read off the shared sieve if it
-    reaches hi - 1, else the survivors of a strike of the band by its primes
-    up to sqrt(hi - 1), without growing it.  A composite survivor exceeds
-    limit^2, so is_prime decides only those."""
-    sieve = default_sieve()
-    primes, square = sieve.primes, sieve.limit**2
-    if hi - 1 <= sieve.limit:
-        return primes[bisect.bisect_left(primes, lo) : bisect.bisect_left(primes, hi)]
-    alive = _strike(lo, hi - lo, islice(primes, bisect.bisect_right(primes, math.isqrt(hi - 1))))
-    return [x for x in compress(range(lo, hi), alive) if x <= square or is_prime(x)]
-
-
 def first_prime(start: int, count: int, order, depth: int,
                 rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0) -> int | None:
     """The first probable prime among start + i, taken over the indices
@@ -178,8 +150,7 @@ def first_prime(start: int, count: int, order, depth: int,
     probable_prime, so the answer is that of testing each visited value in
     order.
     """
-    primes = default_sieve().primes
-    alive = _strike(start, count, islice(primes, bisect.bisect_left(primes, depth)))
+    alive = _strike(start, count, depth)
     for i in order:
         x = start + i
         if x >= 2 and alive[i] and probable_prime(x, rounds, seed):

@@ -15,10 +15,10 @@ from __future__ import annotations
 
 import bisect
 from dataclasses import dataclass
-from itertools import chain, islice, takewhile
+from itertools import chain, islice
 from typing import Iterator
 
-from .arith import InternalContradiction, default_sieve, is_prime, largest_prime_power
+from .arith import InternalContradiction, _max_exponent, is_prime, largest_prime_power, primes_upto
 
 # Enumeration walks every exponent vector; refuse anything bigger.
 ENUMERATION_GUARD = 10**7
@@ -42,35 +42,21 @@ class HnSet:
         return i < len(self.elements) and self.elements[i] == x
 
 
-def _max_exponent(p: int, n: int) -> int:
-    """floor(log_p n): the largest e with p^e <= n, computed exactly."""
-    e, q = 0, p
-    while q <= n:
-        e += 1
-        q *= p
-    return e
-
-
-def _primes_upto(n: int) -> Iterator[int]:
-    """The primes <= n, ascending; the shared sieve grows only once its own run out."""
-    primes = default_sieve().primes
-    yield from takewhile(n.__ge__, primes)
-    yield from takewhile(n.__ge__, islice(default_sieve(n).primes, len(primes), None))
-
-
-def _vectors(n: int, limit: int | None = None) -> tuple[int, int, bool]:
-    """(count, lcm, whole): the products of 1 + e and of p^e, e = floor(log_p n),
-    over the primes p <= n read by one ascending pass, which stops before the next
-    prime once count passes limit; whole says it read them all.  lcm stops growing
-    once count passes ENUMERATION_GUARD, itself past it then (p^e >= 1 + e)."""
+def _vectors(n: int, limit: int | None = None) -> tuple[int, int, int, bool]:
+    """(count, lcm, read, whole): the products of 1 + e and of p^e, e = floor(log_p n),
+    over the `read` primes p <= n taken by one ascending pass, which stops before the
+    next prime once count passes limit; whole says it took them all (read = pi(n)).
+    lcm stops growing once count passes ENUMERATION_GUARD, itself past it then (p^e >= 1 + e)."""
     count = lcm = 1
-    for p in _primes_upto(n):
+    read = 0
+    for p in primes_upto(n):
         if limit is not None and count > limit:
-            return count, lcm, False
+            return count, lcm, read, False
         e = _max_exponent(p, n)
         lcm *= p**e if count <= ENUMERATION_GUARD else 1
         count *= 1 + e
-    return count, lcm, True
+        read += 1
+    return count, lcm, read, True
 
 
 def in_hn(x: int, n: int) -> bool:
@@ -89,7 +75,8 @@ def hn_cardinality(n: int) -> int:
     """|H(n)| in closed form (exact, arbitrary precision)."""
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
-    return vector_count(n) - 1 - default_sieve(n).prime_count(n)
+    count, _, pi, _ = _vectors(n)
+    return count - 1 - pi
 
 
 def enumerate_hn(n: int) -> HnSet:
@@ -121,7 +108,7 @@ def hn_segments(n: int, bound: int | None = None) -> Iterator[list[int]]:
     """
     if n < 2:
         raise ValueError(f"H(n) defined for n >= 2, got {n}")
-    count, lcm, whole = _vectors(n, ENUMERATION_GUARD if bound is None else bound)
+    count, lcm, _, whole = _vectors(n, ENUMERATION_GUARD if bound is None else bound)
     if bound is not None:
         count, whole = min(count, bound), True  # the pass stops only past the bound
     if count > ENUMERATION_GUARD:
@@ -132,7 +119,7 @@ def hn_segments(n: int, bound: int | None = None) -> Iterator[list[int]]:
         )
     # Within the guard lcm is lcm(1..n), or past the bound if the pass stopped there.
     bound = lcm if bound is None else bound
-    segments = _segments(n, list(_primes_upto(min(n, bound))), bound)
+    segments = _segments(n, list(primes_upto(min(n, bound))), bound)
     return _checked(n, segments, lcm) if lcm <= bound else segments
 
 

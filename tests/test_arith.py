@@ -205,6 +205,8 @@ def test_representation_threshold_fixtures():
     assert representation_threshold(10) == 2520
     with pytest.raises(ValueError):
         representation_threshold(1)
+    with pytest.raises(ValueError, match=r"^sieve limit 100000001 exceeds SIEVE_GUARD = 100000000$"):
+        representation_threshold(SIEVE_GUARD + 1)
 
 
 def test_representation_threshold_is_lcm():

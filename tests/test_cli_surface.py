@@ -188,12 +188,36 @@ def test_parsed_arguments(monkeypatch, argv, own):
     (("cramer-gap", "--n-min", "50000001", "--n-max", "50000001"), "SIEVE_GUARD"),
     (("conjecture2", "--part", "i", "--n-min", str(10**9), "--n-max", str(10**9)), "SIEVE_GUARD"),
     (("conjecture2", "--part", "ii", "--n-min", "100000001", "--n-max", "100000001"), "SIEVE_GUARD"),
+    # These refusals come from the guards on the primes read, not from building a sieve.
+    (("runs", "--limit", "100000001"),
+     "sieve limit 100000001 exceeds SIEVE_GUARD = 100000000"),
+    (("verify-small", "--m-max", "99999993", "--max-n", "7"),
+     "sieve limit 100000001 exceeds SIEVE_GUARD = 100000000"),
+    (("hn", "--n", "200000000", "--count-only"),
+     "sieve limit 200000000 exceeds SIEVE_GUARD = 100000000"),
+    # The count stops at the enumeration guard before it reads past the sieve.
+    (("hn", "--n", "200000000"), "ENUMERATION_GUARD"),
 ])
 def test_guard_errors_name_their_guard(capsys, argv, guard):
     assert run(list(argv)) == EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and guard in err
+    if guard.startswith("sieve limit"):
+        assert err == f"error: {guard}\n"
+
+
+# sha256 of `verify-small --m-max 200000 --max-n 12 --format json`, recorded
+# from the walk over a sieve grown to m_max + max_n + 1.
+VERIFY_SMALL_200000_12_SHA = "cd6a10ad1cbbde8ff157686fee18533818159176835a3ab86f220864fd3162d8"
+
+
+def test_verify_small_report_past_the_default_sieve(monkeypatch, capsys):
+    monkeypatch.delenv("GRIMM_WORKERS", raising=False)
+    assert run(["verify-small", "--m-max", "200000", "--max-n", "12", "--format", "json"]) == 1
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_200000_12_SHA
 
 
 def test_readme_lists_the_declared_subcommands():

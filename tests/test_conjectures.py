@@ -81,6 +81,15 @@ def walked_gaps(limit, min_len):
     return walked
 
 
+@pytest.mark.parametrize("limit", [1_000_100, 1_200_000])
+def test_runs_past_the_default_sieve_keep_it(monkeypatch, limit):
+    # The blocks past the shared sieve strike their own primes; the sieve
+    # stays at its default limit.
+    monkeypatch.setattr(grimm.arith, "_sieve", None)  # a fresh default one, restored after
+    runs = enumerate_composite_runs(limit)
+    assert [(r.start - 1, r.length) for r in runs] == walked_gaps(limit, 1)
+    assert grimm.arith.default_sieve().limit == grimm.arith.DEFAULT_SIEVE_LIMIT
+
 def test_runs_427_against_prime_gaps():
     got = enumerate_composite_runs(427, 7)
     assert [(r.start, r.length) for r in got] == RUNS_427_7

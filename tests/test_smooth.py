@@ -4,6 +4,7 @@ from itertools import chain
 import pytest
 
 import grimm.arith
+import grimm.conjectures
 import grimm.smooth
 from grimm.arith import (
     DEFAULT_SIEVE_LIMIT,
@@ -108,16 +109,33 @@ def test_enumeration_guard():
 
 
 def test_prime_pass_continues_past_the_default_sieve(monkeypatch):
-    # n just past the default sieve: _primes_upto reads its primes, then the
-    # grown sieve's from where they ended, with none repeated or skipped.
+    # n just past the default sieve: primes_upto reads its primes, then the
+    # struck bands' from where they ended, with none repeated or skipped.
     monkeypatch.setattr(grimm.arith, "_sieve", grimm.arith._sieve)  # restored after
     n = DEFAULT_SIEVE_LIMIT + 100
     primes = PrimeSieve(n).primes
     assert primes[-1] > default_sieve().primes[-1]
-    assert list(grimm.smooth._primes_upto(n)) == primes
+    assert list(grimm.arith.primes_upto(n)) == primes
+    # across band edges, up to and including a prime n
+    wide = PrimeSieve(DEFAULT_SIEVE_LIMIT + 2 * grimm.arith.BLOCK_SPAN + 1).primes
+    assert list(grimm.arith.primes_upto(wide[-1])) == wide
     exponents = [sum(p**k <= n for k in range(1, 21)) for p in primes]  # 2^20 > n
     assert hn_cardinality(n) == math.prod(1 + e for e in exponents) - 1 - len(primes)
 
+
+def test_closed_forms_past_the_default_sieve_keep_it(monkeypatch):
+    # The counts and lcm(1..n) read the primes past the shared sieve from
+    # struck bands; the sieve stays at its default limit.
+    monkeypatch.setattr(grimm.arith, "_sieve", None)  # a fresh default one, restored after
+    n = DEFAULT_SIEVE_LIMIT + 100
+    primes = PrimeSieve(n).primes
+    exponents = [sum(p**k <= n for k in range(1, 21)) for p in primes]  # 2^20 > n
+    vectors = math.prod(1 + e for e in exponents)
+    assert vector_count(n) == vectors
+    assert hn_cardinality(n) == vectors - 1 - len(primes)
+    lcm = grimm.conjectures._product([p**e for p, e in zip(primes, exponents)])
+    assert representation_threshold(n) == lcm
+    assert default_sieve().limit == DEFAULT_SIEVE_LIMIT
 
 def test_invalid_n():
     for fn in (enumerate_hn, hn_segments, hn_cardinality):
