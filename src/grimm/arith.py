@@ -81,7 +81,7 @@ class PrimeSieve:
     _spf[x] is the smallest prime factor of composite x <= limit, and 0 for
     0, 1 and the primes, in an unsigned 16-bit array: that factor is at most
     isqrt(SIEVE_GUARD) < 2^16, and a wider one would raise OverflowError in
-    the strike, never wrap.  pi is a bisection of `primes`.
+    the strike, never wrap.
     Immutable once built; all queries are read-only, so a single instance
     may be shared freely across threads (and across forked workers).
     """
@@ -112,11 +112,6 @@ class PrimeSieve:
         self._check(x)
         return x >= 2 and not self._spf[x]
 
-    def prime_count(self, x: int) -> int:
-        """pi(x), the number of primes <= x."""
-        self._check(x)
-        return bisect.bisect_right(self.primes, x)
-
     def factorize(self, x: int) -> dict[int, int]:
         """Exact factorization of 1 <= x <= limit via repeated spf lookup."""
         if not 1 <= x <= self.limit:
@@ -140,8 +135,9 @@ _sieve: PrimeSieve | None = None
 
 
 def default_sieve(min_limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeSieve:
-    """The shared sieve; only verify_grimm_range grows it.  Construction is
-    single-threaded; callers that fork workers should build it once first."""
+    """The shared sieve; only verify_grimm_range and verify_small_windows grow
+    it.  Construction is single-threaded; callers that fork workers should
+    build it once first."""
     global _sieve
     if _sieve is None or _sieve.limit < min_limit:
         _sieve = PrimeSieve(max(min_limit, DEFAULT_SIEVE_LIMIT))

@@ -170,9 +170,8 @@ def verify_grimm_range(limit: int, min_len: int = 1, workers: int = 1) -> Verifi
     run where two elements share their largest prime factor goes to
     _settle_grimm.  No list of all the runs is built, so memory is the
     sieve's plus one block.  The column and its check read the shared sieve,
-    so it is grown to the limit here, before any worker forks: the one place
-    that grows it.  The blocks do not depend on the worker count, and neither
-    does the report content.
+    so it is grown to the limit here, before any worker forks.  The blocks
+    do not depend on the worker count, and neither does the report content.
     """
     t0 = time.monotonic()
     blocks = _gap_blocks(limit, min_len)
@@ -226,10 +225,13 @@ def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
     p < q, p <= m_max (q <= 2 * m_max by Bertrand): the rows m = p .. q - 1 have
     the q - m - 1 composites p + 1 .. q - 1 ahead of them, so the gap is
     counted in closed form, and only its full-width windows are visited.
+    Every element factored here and in the scan is at most m_max + max_n,
+    so the shared sieve is grown past it: each factorization is then table
+    lookups, not trial division and rho.
     """
     if m_max < 1 or max_n < 1:
         raise ValueError(f"need m_max >= 1 and max_n >= 1, got m_max={m_max}, max_n={max_n}")
-    _check_sieve_limit(m_max + max_n + 1)
+    default_sieve(m_max + max_n + 1)
     checked = 0
     fallback = []
     gaps = (gap for block in _gap_blocks(m_max, 1) for gap in _block_gaps(*block, 2 * m_max + 2, 1))

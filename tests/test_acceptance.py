@@ -14,6 +14,7 @@ README findings section:
     1563329..1563389, wider than 2n.
 """
 
+import bisect
 import json
 import math
 import multiprocessing
@@ -236,7 +237,7 @@ def test_criterion_08b_chebyshev_window_sampled():
         for x in xs
         if not (
             0.92129 * x / math.log(x)
-            < sieve.prime_count(x)
+            < bisect.bisect_right(sieve.primes, x)
             < 1.1056 * x / math.log(x)
         )
     ]

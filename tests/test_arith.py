@@ -1,3 +1,4 @@
+import bisect
 import copy
 import math
 import random
@@ -194,7 +195,7 @@ def test_binomial_valuation_bounded_by_window_max():
     for _ in range(10**4):
         m = rng.randrange(1, 10**6)
         n = rng.randrange(1, 31)
-        p = primes[rng.randrange(0, sieve.prime_count(m + n))]
+        p = primes[rng.randrange(0, bisect.bisect_right(primes, m + n))]
         w = Window(m, n)
         assert vp_binomial(p, w) <= max(naive_vp(p, x) for x in w.values())
 
@@ -253,16 +254,11 @@ def test_sieve_basics():
         primes = [x for x in range(top + 1) if naive[x]]
         assert s.primes == primes
         assert [s.is_prime(x) for x in range(top + 1)] == naive
-        assert [s.prime_count(x) for x in range(top + 1)] == [
-            sum(naive[: x + 1]) for x in range(top + 1)
-        ]
         for x in range(1, top + 1):  # ascending primes, as factorize promises
             assert list(s.factorize(x).items()) == list(naive_factorize(x).items()), (limit, x)
         for bad in (-1, top + 1):
             with pytest.raises(ValueError):
                 s.is_prime(bad)
-            with pytest.raises(ValueError):
-                s.prime_count(bad)
 
 
 def test_sieve_factorize_matches_naive():

@@ -5,6 +5,7 @@ import dataclasses
 import hashlib
 import os
 import re
+import signal
 import subprocess
 import sys
 from pathlib import Path
@@ -188,7 +189,8 @@ def test_parsed_arguments(monkeypatch, argv, own):
     (("cramer-gap", "--n-min", "50000001", "--n-max", "50000001"), "SIEVE_GUARD"),
     (("conjecture2", "--part", "i", "--n-min", str(10**9), "--n-max", str(10**9)), "SIEVE_GUARD"),
     (("conjecture2", "--part", "ii", "--n-min", "100000001", "--n-max", "100000001"), "SIEVE_GUARD"),
-    # These refusals come from the guards on the primes read, not from building a sieve.
+    # runs and hn --count-only are refused by the guards on the primes they read,
+    # verify-small by growing the sieve to m_max + max_n + 1.
     (("runs", "--limit", "100000001"),
      "sieve limit 100000001 exceeds SIEVE_GUARD = 100000000"),
     (("verify-small", "--m-max", "99999993", "--max-n", "7"),
@@ -199,7 +201,19 @@ def test_parsed_arguments(monkeypatch, argv, own):
     (("hn", "--n", "200000000"), "ENUMERATION_GUARD"),
 ])
 def test_guard_errors_name_their_guard(capsys, argv, guard):
-    assert run(list(argv)) == EXIT_ERROR
+    # A lost guard would start the work it refuses; the alarm makes that a
+    # failure within a minute rather than a hang.
+    def late(signum, frame):
+        raise TimeoutError(f"{' '.join(argv)} was not refused within 60 s")
+
+    previous = signal.signal(signal.SIGALRM, late)
+    signal.alarm(60)
+    try:
+        status = run(list(argv))
+    finally:
+        signal.alarm(0)
+        signal.signal(signal.SIGALRM, previous)
+    assert status == EXIT_ERROR
     out, err = capsys.readouterr()
     assert out == ""
     assert err.startswith("error: ") and guard in err
