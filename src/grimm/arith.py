@@ -16,7 +16,7 @@ from array import array
 from dataclasses import dataclass
 from itertools import compress, islice, takewhile
 from operator import itemgetter
-from typing import Iterator
+from typing import Iterable, Iterator
 
 # Strong-test witness sets, each proven below its bound: Sinclair's 7 bases below
 # 2^64, the prime bases 2..41 below psi_13 (Sorenson & Webster, Math. Comp. 2017).
@@ -255,14 +255,19 @@ def all_prime(xs: list[int]) -> bool:
     are read off its table, and only those beyond it go to is_prime."""
     sieve = default_sieve()
     if xs and 2 <= min(xs) and max(xs) <= sieve.limit:
-        # Within the sieve, x >= 2 is prime iff it has no smallest-prime-factor
-        # entry.  One itemgetter gathers them all; the leading 0 reads _spf[0],
-        # which is 0, and makes a single x still give a tuple.
-        return not any(itemgetter(0, *xs)(sieve._spf))
+        return _table_prime(xs)
     inside = [x for x in xs if x <= sieve.limit]
     if inside and not (min(inside) >= 2 and all_prime(inside)):
         return False
     return all(is_prime(x) for x in xs if x > sieve.limit)
+
+
+def _table_prime(xs: list[int]) -> bool:
+    """Whether every x in xs, each 2 <= x <= the shared sieve's limit, is prime:
+    x is iff it has no smallest-prime-factor entry.  One itemgetter gathers
+    them all; the leading 0 reads _spf[0], which is 0, and makes a single x
+    still give a tuple."""
+    return not any(itemgetter(0, *xs)(default_sieve()._spf))
 
 
 def _brent_rho(n: int) -> int:
@@ -377,9 +382,15 @@ def largest_prime_factors(lo: int, hi: int) -> list[int]:
     for q in primes[: bisect.bisect_right(primes, root)]:
         start = -(-lo // q) * q - lo
         out[start::q] = [q] * len(range(start, len(out), q))
+    # The primes p with lo <= c * p <= hi, p > root, are primes[a:b]; both
+    # ends only fall as c grows, so each search is confined to the index
+    # range the previous cofactor left.
+    a_root = bisect.bisect_right(primes, root)
+    a = b = len(primes)
     for c in range(1, hi // (root + 1) + 1):
-        a = bisect.bisect_right(primes, max(root, (lo - 1) // c))
-        for p in primes[a : bisect.bisect_right(primes, hi // c)]:
+        a = bisect.bisect_right(primes, (lo - 1) // c, a_root, a)
+        b = bisect.bisect_right(primes, hi // c, a, b)
+        for p in primes[a:b]:
             out[c * p - lo] = p
     return out
 
@@ -428,4 +439,19 @@ def representation_threshold(n: int) -> int:
     if n < 2:
         raise ValueError(f"threshold defined for n >= 2, got {n}")
     _check_sieve_limit(n)  # before the product, not once the stream reaches n
-    return math.prod(p ** _max_exponent(p, n) for p in primes_upto(n))
+    return _product(p ** _max_exponent(p, n) for p in primes_upto(n))
+
+
+def _product(xs: Iterable[int]) -> int:
+    """math.prod(xs) as a balanced product tree: neighbours are multiplied
+    pairwise until one factor is left, so each large multiplication has two
+    factors of about the same size.  Its leaves are products of 64 entries,
+    which math.prod forms faster than the tree would; only the leaves are
+    held, never xs whole."""
+    it = iter(xs)
+    parts = []
+    while leaf := list(islice(it, 64)):
+        parts.append(math.prod(leaf))
+    while len(parts) > 1:
+        parts = [a * b for a, b in zip(parts[::2], parts[1::2])] + parts[len(parts) & ~1 :]
+    return parts[0] if parts else 1

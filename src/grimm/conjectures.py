@@ -30,8 +30,10 @@ from dataclasses import dataclass, field
 
 from .arith import (
     BLOCK_SPAN,
+    InternalContradiction,
     Window,
     _check_sieve_limit,
+    _product,
     band_primes,
     default_sieve,
     is_prime,
@@ -123,12 +125,20 @@ class VerificationReport:
 
 def _grimm_chunk(windows: list[tuple[int, int]]) -> list[GrimmFailure]:
     m0 = windows[0][0]
-    tops = largest_prime_factors(m0 + 1, sum(windows[-1]))
+    span = sum(windows[-1]) - m0
+    tops = largest_prime_factors(m0 + 1, m0 + span)
+    if len(tops) != span:
+        raise InternalContradiction(
+            f"largest-prime-factor column from {m0 + 1} has {len(tops)} entries, not {span}"
+        )
     _check_column(m0 + 1, tops)
     out = []
     for m, n in windows:
         col = tops[m - m0 : m - m0 + n]
-        if len(set(col)) == n:  # n distinct checked primes: an assignment
+        # n checked primes, one per element, are an assignment when distinct,
+        # as they are when all are >= n: such a prime divides at most one of
+        # n consecutive integers.
+        if min(col) >= n or len(set(col)) == n:
             continue
         stuck = _settle_grimm(Window(m, n), col)
         if isinstance(stuck, int):
@@ -405,17 +415,6 @@ class CramerGapRecord:
     lhs: float
     rhs: float | None
     holds: bool | None
-
-
-def _product(xs: list[int]) -> int:
-    """math.prod(xs) as a balanced product tree: neighbours are multiplied
-    pairwise until one factor is left, so each large multiplication has two
-    factors of about the same size.  Its leaves are products of 64 entries,
-    which math.prod forms faster than the tree would."""
-    xs = [math.prod(xs[i : i + 64]) for i in range(0, len(xs), 64)]
-    while len(xs) > 1:
-        xs = [a * b for a, b in zip(xs[::2], xs[1::2])] + xs[len(xs) & ~1 :]
-    return xs[0] if xs else 1
 
 
 def cramer_gap_report(n: int) -> CramerGapRecord:

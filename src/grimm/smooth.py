@@ -49,13 +49,19 @@ def _vectors(n: int, limit: int | None = None) -> tuple[int, int, int, bool]:
     lcm stops growing once count passes ENUMERATION_GUARD, itself past it then (p^e >= 1 + e)."""
     count = lcm = 1
     read = 0
-    for p in primes_upto(n):
+    primes = primes_upto(n)
+    for p in primes:
         if limit is not None and count > limit:
             return count, lcm, read, False
         e = _max_exponent(p, n)
         lcm *= p**e if count <= ENUMERATION_GUARD else 1
         count *= 1 + e
         read += 1
+        if limit is None and count > ENUMERATION_GUARD and p * p > n:
+            # Every later prime is above sqrt(n), so has e = 1: it doubles
+            # count, one shift for all of them, and leaves lcm as it is.
+            rest = sum(1 for _ in primes)
+            return count << rest, lcm, read + rest, True
     return count, lcm, read, True
 
 

@@ -234,6 +234,19 @@ def test_verify_small_report_past_the_default_sieve(monkeypatch, capsys):
     assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_SMALL_200000_12_SHA
 
 
+# sha256 of `verify --limit 1000000 --workers 1 --format json`, the report that
+# bench/digests.json pins for the verify workload at that limit.
+VERIFY_1000000_SHA = "70001659f64d16dd3df871c2b06e6b052f59308fbaac286ee43e55cf08a24c74"
+
+
+def test_verify_report_at_a_million(monkeypatch, capsys):
+    monkeypatch.delenv("GRIMM_WORKERS", raising=False)
+    assert run(["verify", "--limit", "1000000", "--workers", "1", "--format", "json"]) == 0
+    out, err = capsys.readouterr()
+    assert err == ""
+    assert hashlib.sha256(out.encode()).hexdigest() == VERIFY_1000000_SHA
+
+
 def test_readme_lists_the_declared_subcommands():
     text = README.read_text(encoding="utf-8")
     table = text[text.index("| subcommand |"):].split("\n\n", 1)[0]

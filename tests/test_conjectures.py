@@ -237,6 +237,15 @@ def column_with(entries):
     # 20, 21, 22 with P(21) reported as 13: 5, 13, 11 are distinct primes
     # >= 3, but 13 does not divide 21.
     ((19, 3), {21: 13}),
+    # P(21) reported as 1: it divides 21, and 5, 1, 11 are distinct, but 1
+    # is not prime.
+    ((19, 3), {21: 1}),
+    # P(21) reported as 0: refused as an entry below 2, before any remainder
+    # by it is taken.
+    ((19, 3), {21: 0}),
+    # P(20) reported as -2: it divides 20, and -2, 7, 11 are distinct, but
+    # a negative divisor is not a prime.
+    ((19, 3), {20: -2}),
 ])
 def test_column_entries_must_be_primes_dividing_their_elements(monkeypatch, window, entries):
     with monkeypatch.context() as patch:
