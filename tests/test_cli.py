@@ -411,27 +411,6 @@ def test_verify_small_witness_check_exits_3(monkeypatch, capsys, mutate, message
     assert (error["error"], error["message"]) == ("InternalContradiction", message)
 
 
-@pytest.mark.parametrize("corrupt", [
-    lambda col: col[:-1],
-    lambda col: [0, *col[1:]],
-    lambda col: [1, *col[1:]],
-    lambda col: [-2, *col[1:]],
-    lambda col: [4, *col[1:]],
-    lambda col: [3, *col[1:]],
-], ids=["short", "zero", "one", "negative", "composite", "non_divisor"])
-def test_verify_exits_3_on_a_defective_column(monkeypatch, capsys, corrupt):
-    # The first run below 3000 is the element 4, so each entry replaces P(4) = 2.
-    column = grimm.conjectures.largest_prime_factors
-    monkeypatch.setattr(
-        grimm.conjectures, "largest_prime_factors", lambda lo, hi: corrupt(column(lo, hi))
-    )
-    code = run(["verify", "--limit", "3000", "--workers", "1"])
-    captured = capsys.readouterr()
-    assert code == EXIT_INTERNAL
-    assert captured.out == ""
-    assert json.loads(captured.err)["error"] == "InternalContradiction"
-
-
 # Loaded by the interpreter at start-up (the directory is on PYTHONPATH):
 # every canonical certificate claims one power of its first prime too many.
 CORRUPTING_SITECUSTOMIZE = """
