@@ -265,9 +265,9 @@ def all_prime(xs: list[int]) -> bool:
 def _table_prime(xs: list[int]) -> bool:
     """Whether every x in xs, each 2 <= x <= the shared sieve's limit, is prime:
     x is iff it has no smallest-prime-factor entry.  One itemgetter gathers
-    them all; the leading 0 reads _spf[0], which is 0, and makes a single x
-    still give a tuple."""
-    return not any(itemgetter(0, *xs)(default_sieve()._spf))
+    them all; the two leading 0s read _spf[0], which is 0, and make every xs,
+    even an empty or a single one, give a tuple."""
+    return not any(itemgetter(0, 0, *xs)(default_sieve()._spf))
 
 
 def _brent_rho(n: int) -> int:
