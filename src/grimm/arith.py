@@ -254,20 +254,19 @@ def all_prime(xs: list[int]) -> bool:
     """Whether every x in xs is prime: the entries within the shared sieve
     are read off its table, and only those beyond it go to is_prime."""
     sieve = default_sieve()
-    if xs and 2 <= min(xs) and max(xs) <= sieve.limit:
-        return _table_prime(xs)
+    if xs and 2 <= min(xs):
+        # Within the sieve, x >= 2 is prime iff it has no smallest-prime-factor
+        # entry.  One itemgetter gathers them all; the leading 0 reads _spf[0],
+        # which is 0, and makes a single x still give a tuple.  An x beyond
+        # the sieve stops the gather with IndexError.
+        try:
+            return not any(itemgetter(0, *xs)(sieve._spf))
+        except IndexError:
+            pass
     inside = [x for x in xs if x <= sieve.limit]
     if inside and not (min(inside) >= 2 and all_prime(inside)):
         return False
     return all(is_prime(x) for x in xs if x > sieve.limit)
-
-
-def _table_prime(xs: list[int]) -> bool:
-    """Whether every x in xs, each 2 <= x <= the shared sieve's limit, is prime:
-    x is iff it has no smallest-prime-factor entry.  One itemgetter gathers
-    them all; the two leading 0s read _spf[0], which is 0, and make every xs,
-    even an empty or a single one, give a tuple."""
-    return not any(itemgetter(0, 0, *xs)(default_sieve()._spf))
 
 
 def _brent_rho(n: int) -> int:
@@ -365,11 +364,13 @@ def largest_prime_power(x: int) -> tuple[int, int]:
 def largest_prime_factors(lo: int, hi: int) -> list[int]:
     """P(x), the largest prime factor of x, for x = lo .. hi (P(1) = 1).
 
-    Within the shared sieve, each prime q <= sqrt(hi) in ascending order
-    overwrites the multiples of q, so each entry ends at the largest of
-    them dividing x; then every prime p > sqrt(hi), the only one that can
-    divide x, overwrites the x = c * p it divides, found per cofactor
-    c = x / p.  Beyond the sieve each entry comes from factorize.
+    Within the shared sieve, each prime q up to the split, the larger of
+    sqrt(hi) and an eighth of the span, overwrites its multiples in
+    ascending order, so each entry ends at the largest of them dividing x.
+    A prime p above the split is the only prime > sqrt(hi) that can divide
+    x, and it has at most eight multiples in the span: each is written one
+    by one, at x = c * p, found per cofactor c = x / p.  Beyond the sieve
+    each entry comes from factorize.
     """
     if not 1 <= lo <= hi + 1:
         raise ValueError(f"need 1 <= lo <= hi + 1, got lo={lo}, hi={hi}")
@@ -377,18 +378,18 @@ def largest_prime_factors(lo: int, hi: int) -> list[int]:
     if hi > sieve.limit:
         return [max(factorize(x), default=1) for x in range(lo, hi + 1)]
     primes = sieve.primes
-    root = math.isqrt(hi)
     out = [1] * (hi - lo + 1)
-    for q in primes[: bisect.bisect_right(primes, root)]:
+    split = max(math.isqrt(hi), len(out) // 8)
+    a_split = bisect.bisect_right(primes, split)
+    for q in primes[:a_split]:
         start = -(-lo // q) * q - lo
         out[start::q] = [q] * len(range(start, len(out), q))
-    # The primes p with lo <= c * p <= hi, p > root, are primes[a:b]; both
+    # The primes p with lo <= c * p <= hi, p > split, are primes[a:b]; both
     # ends only fall as c grows, so each search is confined to the index
     # range the previous cofactor left.
-    a_root = bisect.bisect_right(primes, root)
     a = b = len(primes)
-    for c in range(1, hi // (root + 1) + 1):
-        a = bisect.bisect_right(primes, (lo - 1) // c, a_root, a)
+    for c in range(1, hi // (split + 1) + 1):
+        a = bisect.bisect_right(primes, (lo - 1) // c, a_split, a)
         b = bisect.bisect_right(primes, hi // c, a, b)
         for p in primes[a:b]:
             out[c * p - lo] = p

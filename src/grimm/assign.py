@@ -28,10 +28,8 @@ from itertools import accumulate, chain, groupby
 from .arith import (
     FACTORIZATION_BOUND,
     Window,
-    _table_prime,
     all_prime,
     band_primes,
-    default_sieve,
     largest_prime_factors,
     largest_prime_power,
     prime_divisors,
@@ -84,16 +82,9 @@ class RepresentationDecision:
 def _check_column(lo: int, tops: list[int]) -> None:
     """Raise InternalContradiction unless each tops[k] is a prime dividing lo + k.
 
-    Once every entry is at least 2 and divides its element, none exceeds the
-    last element, so a column whose elements lie within the shared sieve is
-    read off its table in one gather; only a column past it goes to all_prime.
+    all_prime refuses entries below 2, so no remainder by 0 is taken.
     """
-    hi = lo + len(tops) - 1
-    if (
-        min(tops, default=2) < 2
-        or any(map(operator.mod, range(lo, hi + 1), tops))
-        or not (_table_prime(tops) if hi <= default_sieve().limit else all_prime(tops))
-    ):
+    if not all_prime(tops) or any(map(operator.mod, range(lo, lo + len(tops)), tops)):
         raise InternalContradiction(f"bad largest-prime-factor column from {lo}")
 
 
