@@ -10,6 +10,7 @@ result silently degrade.
 from __future__ import annotations
 
 import bisect
+import functools
 import math
 import random
 from array import array
@@ -207,8 +208,13 @@ def _odd_part(y: int) -> tuple[int, int]:
 
 def _sprp(x: int, a: int, d: int, s: int) -> bool:
     """Whether odd x > 2, with x - 1 = d * 2^s and d odd, is a strong
-    probable prime to base a.  False proves x composite."""
-    y = pow(a, d, x)
+    probable prime to base a.  False proves x composite.
+
+    Below DETERMINISTIC_PRIMALITY_BOUND, where is_prime's verdicts are
+    proofs, the modular power is the built-in pow; above it, where only
+    probable_prime's rounds reach, it is _powmod.
+    """
+    y = _powmod(a, d, x) if x >= DETERMINISTIC_PRIMALITY_BOUND else pow(a, d, x)
     if y == 1 or y == x - 1:
         return True
     for _ in range(s - 1):
@@ -216,6 +222,70 @@ def _sprp(x: int, a: int, d: int, s: int) -> bool:
         if y == x - 1:
             return True
     return False
+
+
+def _powmod(a: int, d: int, x: int) -> int:
+    """pow(a, d, x) for a, d >= 0 and odd x > 1, through libgmp's mpz_powm
+    when the library loads and passes its self-check, else the built-in pow
+    (the reference the kernel is tested against)."""
+    powm = _gmp_kernel()
+    return pow(a, d, x) if powm is None else powm(a, d, x)
+
+
+@functools.cache
+def _gmp_kernel():
+    """_gmp_powm once it has matched pow on one fixed power, else None, for
+    the life of the process."""
+    powm = _gmp_powm()
+    check = (3**160, 7**170, 11**150 + 2)  # several limbs each, an odd modulus
+    return powm if powm is not None and powm(*check) == pow(*check) else None
+
+
+def _gmp_powm():
+    """A function (a, d, x) -> a^d mod x on libgmp's mpz_powm, or None when
+    libgmp cannot be loaded.  Each call holds its own mpz values, cleared
+    before it returns, so no GMP state is shared across threads or forks."""
+    import ctypes  # only probable-prime rounds above the bound pay for it
+
+    try:
+        gmp = ctypes.CDLL("libgmp.so.10")
+    except OSError:
+        return None
+
+    class Mpz(ctypes.Structure):  # mpz_t: alloc, size, limb pointer
+        _fields_ = [("alloc", ctypes.c_int), ("size", ctypes.c_int), ("d", ctypes.c_void_p)]
+
+    mpz, size_t = ctypes.POINTER(Mpz), ctypes.c_size_t
+    init, clear, imp, powm, exp = (
+        gmp.__gmpz_init, gmp.__gmpz_clear, gmp.__gmpz_import, gmp.__gmpz_powm, gmp.__gmpz_export
+    )
+    init.argtypes = clear.argtypes = [mpz]
+    init.restype = clear.restype = imp.restype = powm.restype = None
+    # Words are single bytes, least significant first, native endianness, no nails.
+    imp.argtypes = [mpz, size_t, ctypes.c_int, size_t, ctypes.c_int, size_t, ctypes.c_char_p]
+    powm.argtypes = [mpz, mpz, mpz, mpz]
+    exp.argtypes = [ctypes.c_void_p, ctypes.POINTER(size_t), ctypes.c_int, size_t,
+                    ctypes.c_int, size_t, mpz]
+    exp.restype = ctypes.c_void_p
+
+    def kernel(a: int, d: int, x: int) -> int:
+        width = (x.bit_length() + 7) // 8
+        out, count = ctypes.create_string_buffer(width), size_t()
+        r, *args = vals = [Mpz() for _ in range(4)]
+        for v in vals:
+            init(v)
+        try:
+            for v, value in zip(args, (a, d, x)):
+                raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
+                imp(v, len(raw), -1, 1, 0, 0, raw)
+            powm(r, *args)
+            exp(out, ctypes.byref(count), -1, 1, 0, 0, r)  # r < x: at most width bytes
+        finally:
+            for v in vals:
+                clear(v)
+        return int.from_bytes(out.raw[: count.value], "little")
+
+    return kernel
 
 
 def _mr_random(x: int, rounds: int, seed: int) -> bool:
@@ -239,7 +309,9 @@ def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
     Above it: trial division by the primes under 10^4, one strong round to
     base 2, then `rounds` seeded random-base rounds (reproducible; composite
     error below 4^(-rounds)).  A failed base-2 round proves x composite; a
-    pass still faces every random round.
+    pass still faces every random round.  These rounds take their modular
+    powers from _powmod (libgmp when it loads, else pow); the verdicts are
+    the same either way.
     """
     if x < DETERMINISTIC_PRIMALITY_BOUND:
         return is_prime(x)

@@ -380,6 +380,12 @@ def conjecture2_ii(
     d = nt + r with t = floor((d-1)/n), the unique split with 1 <= r <= n.
     The clause only speaks when d is coprime to every other element of its
     block nt+1 .. nt+n; otherwise the probe is recorded as vacuous.
+
+    Each prime p of d lies in (n/2, n), so 2p > n and the only other
+    multiples of p that can fall in the block are d - p and d + p, at r - p
+    and r + p.  d is therefore coprime to the rest of the block exactly
+    when every such p, and so its least prime q, has p >= r and
+    p >= n + 1 - r.
     """
     if n < 3:
         raise ValueError("defined for n >= 3")
@@ -388,10 +394,7 @@ def conjecture2_ii(
     for q, d in _block_divisors(block, divisor_budget, seed):
         t = (d - 1) // n
         r = d - n * t
-        coprime = all(
-            math.gcd(d, n * t + j) == 1 for j in range(1, n + 1) if j != r
-        )
-        if not coprime:
+        if q < max(r, n + 1 - r):
             out.append(DivisorProbe(n=n, d=d, q=q, clauses=(), vacuous=True))
             continue
         clause = _find_prime(n * t + 1, n * t + n, lo_open=False, hi_open=False)

@@ -2,10 +2,14 @@ import bisect
 import copy
 import math
 import random
+import sys
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import grimm.arith
 from grimm.arith import (
@@ -25,8 +29,9 @@ from grimm.arith import (
     representation_threshold,
     vp_binomial,
 )
-from grimm.arith import _odd_part, _sprp  # the strong-round core
+from grimm.arith import _odd_part, _powmod, _sprp  # the strong-round core
 from grimm.assign import _check_column
+from grimm.primegen import generate
 from oracles import iterated_lcm, naive_factorize, naive_is_prime, naive_vp
 
 
@@ -138,6 +143,109 @@ def test_probable_prime_base_two_pass_is_not_a_verdict():
     d, s = _odd_part(x - 1)
     assert _sprp(x, 2, d, s)
     assert probable_prime(x) is False
+
+
+def _loaded_gmp():
+    powm = grimm.arith._gmp_powm()
+    if powm is None:
+        pytest.skip("libgmp.so.10 cannot be loaded on this host")
+    return powm
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@given(st.data())
+def test_powmod_matches_pow_above_the_bound(data):
+    # Odd moduli from the bound up to 2^4096, both through the raw binding
+    # and through _powmod, which must have kept the kernel.
+    powm = _loaded_gmp()
+    assert grimm.arith._gmp_kernel() is not None
+    x = 2 * data.draw(st.integers(DETERMINISTIC_PRIMALITY_BOUND // 2, 2**4095 - 1)) + 1
+    a = data.draw(st.integers(2, x - 2))
+    d = 2 * data.draw(st.integers(0, x // 2)) + 1
+    want = pow(a, d, x)
+    assert powm(a, d, x) == want
+    assert _powmod(a, d, x) == want
+
+
+def test_powmod_threads_share_no_gmp_state():
+    # mpz_powm runs without the interpreter lock, so these calls overlap;
+    # the first ones also race to load the kernel.
+    _loaded_gmp()
+    rng = random.Random(77)
+    top = 1 << 1023 | 1  # odd 1024-bit moduli
+    jobs = [[(rng.getrandbits(1000) + 2, rng.getrandbits(1000) | 1, rng.getrandbits(1023) | top)
+             for _ in range(30)] for _ in range(4)]
+    results = [None] * len(jobs)
+
+    def work(i):
+        results[i] = [_powmod(a, d, x) for a, d, x in jobs[i]]
+
+    grimm.arith._gmp_kernel.cache_clear()
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(i,)) for i in range(len(jobs))]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert results == [[pow(a, d, x) for a, d, x in job] for job in jobs]
+    assert grimm.arith._gmp_kernel() is not None
+
+
+# Verdicts and the generate(512, 1009) sweep as the built-in pow gives them.
+_PROBABLE_PRIME_FIXTURES = [
+    (2**89 - 1, True), (2**89 - 3, False), ((2**89 - 1) ** 2, False),
+    (2**101 - 1, False),  # a strong probable prime to base 2
+    (2**127 - 1, True), (2**521 - 1, True), (2**523 - 1, False), (2**607 - 1, True),
+    ((2**127 - 1) * (2**521 - 1), False), (3**400 + 2, False), (10**300 + 331, True),
+]
+
+
+def _wrong_kernel(calls):
+    def kernel(a, d, x):
+        calls.append(x)
+        return (pow(a, d, x) + 1) % x
+    return kernel
+
+
+@pytest.mark.parametrize("kernel", ["libgmp", "unavailable", "fails self-check"])
+def test_probable_prime_results_do_not_depend_on_the_kernel(monkeypatch, kernel):
+    calls = []
+    if kernel == "unavailable":
+        monkeypatch.setattr(grimm.arith, "_gmp_powm", lambda: None)
+    elif kernel == "fails self-check":
+        monkeypatch.setattr(grimm.arith, "_gmp_powm", lambda: _wrong_kernel(calls))
+    grimm.arith._gmp_kernel.cache_clear()
+    try:
+        if kernel != "libgmp":
+            assert grimm.arith._gmp_kernel() is None
+        assert [(x, probable_prime(x)) for x in (x for x, _ in _PROBABLE_PRIME_FIXTURES)] \
+            == _PROBABLE_PRIME_FIXTURES
+        pool, res = generate(512, 1009)
+        assert (pool.primes[0], len(pool.primes), res.offset) == (1009, 48, 324)
+        assert res.prime == pool.product + 324 and res.bit_length == 512
+        # The failed kernel was asked for its one check power, and never again.
+        assert len(calls) == (kernel == "fails self-check")
+    finally:
+        grimm.arith._gmp_kernel.cache_clear()
+
+
+def test_is_prime_never_reaches_the_kernel(monkeypatch):
+    # Every proven verdict, up to the deterministic bound, rests on pow alone.
+    def refuse(a, d, x):
+        raise AssertionError(f"kernel asked for a power mod {x}")
+
+    monkeypatch.setattr(grimm.arith, "_powmod", refuse)
+    near = DETERMINISTIC_PRIMALITY_BOUND - 1000
+    verdicts = [is_prime(x) for x in range(near, DETERMINISTIC_PRIMALITY_BOUND)]
+    assert verdicts == [probable_prime(x) for x in range(near, DETERMINISTIC_PRIMALITY_BOUND)]
+    assert any(verdicts) and is_prime(2**64 + 13)
+    with pytest.raises(AssertionError, match="kernel"):
+        probable_prime(2**89 - 1)
 
 
 def test_factorize_fixtures():

@@ -279,3 +279,32 @@ def test_cli_import_leaves_multiprocessing_unloaded():
         check=True,
     )
     assert done.stdout == "False\n"
+
+
+def test_only_probable_prime_rounds_load_the_modular_power_kernel():
+    # The libgmp kernel is loaded through ctypes on the first strong round
+    # above the deterministic bound, so the commands and proofs below it
+    # never import ctypes.
+    src = Path(grimm.conjectures.__file__).resolve().parents[1]
+    code = "\n".join([
+        "import contextlib, io, sys",
+        "from grimm.arith import is_prime, probable_prime",
+        "from grimm.cli import run",
+        "with contextlib.redirect_stdout(io.StringIO()):",
+        "    for argv in (['verify', '--limit', '300000', '--workers', '2'],",
+        "                 ['scan', '--m-max', '3000', '--n-max', '20', '--workers', '2'],",
+        "                 ['hn', '--n', '40'], ['g', '--m', '10000']):",
+        "        assert run(argv + ['--format', 'json']) in (0, 1), argv",
+        "assert is_prime(2**64 + 13)",
+        "print('ctypes' in sys.modules)",
+        "assert probable_prime(2**89 - 1)",
+        "print('ctypes' in sys.modules)",
+    ])
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert done.stdout == "False\nTrue\n"

@@ -536,6 +536,21 @@ def test_conjecture2_ii_no_violations_to_50():
         assert all(p.ok for p in conjecture2_ii(n)), n
 
 
+
+def test_conjecture2_ii_coprimality_matches_the_gcd_rule():
+    # A probe is vacuous exactly when d shares a factor with another element
+    # of its block nt+1 .. nt+n, read off the gcds one by one: every divisor
+    # for n <= 60, and seeded samples of the larger blocks at 90 and 150.
+    runs = [conjecture2_ii(n) for n in range(3, 61)]
+    assert sum(map(len, runs)) == 1748
+    runs += [conjecture2_ii(n, divisor_budget=300, seed=1) for n in (90, 150)]
+    for probe in itertools.chain.from_iterable(runs):
+        n, d = probe.n, probe.d
+        t = (d - 1) // n
+        coprime = all(math.gcd(d, n * t + j) == 1 for j in range(1, n + 1) if n * t + j != d)
+        assert probe.vacuous == (not coprime), (n, d)
+
+
 def test_prime_blocks_are_the_open_bands():
     # Clause (i) and the Cramer report read the primes in (n, 2n); clause (ii)
     # those in (n/2, n).  An off-by-one at either end of a band changes a block.
