@@ -152,7 +152,7 @@ def _loaded_gmp():
     return powm
 
 
-@settings(derandomize=True, database=None, deadline=None, max_examples=40)
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
 @given(st.data())
 def test_powmod_matches_pow_above_the_bound(data):
     # Odd moduli from the bound up to 2^4096, both through the raw binding
