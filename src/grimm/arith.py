@@ -269,8 +269,7 @@ def _gmp_powm():
     exp.restype = ctypes.c_void_p
 
     def kernel(a: int, d: int, x: int) -> int:
-        width = (x.bit_length() + 7) // 8
-        out, count = ctypes.create_string_buffer(width), size_t()
+        out, count = ctypes.create_string_buffer((x.bit_length() + 7) // 8), size_t()
         r, *args = vals = [Mpz() for _ in range(4)]
         for v in vals:
             init(v)
@@ -279,7 +278,7 @@ def _gmp_powm():
                 raw = value.to_bytes((value.bit_length() + 7) // 8, "little")
                 imp(v, len(raw), -1, 1, 0, 0, raw)
             powm(r, *args)
-            exp(out, ctypes.byref(count), -1, 1, 0, 0, r)  # r < x: at most width bytes
+            exp(out, ctypes.byref(count), -1, 1, 0, 0, r)  # r < x fits the buffer
         finally:
             for v in vals:
                 clear(v)

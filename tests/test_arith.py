@@ -223,8 +223,8 @@ def test_probable_prime_results_do_not_depend_on_the_kernel(monkeypatch, kernel)
     try:
         if kernel != "libgmp":
             assert grimm.arith._gmp_kernel() is None
-        assert [(x, probable_prime(x)) for x in (x for x, _ in _PROBABLE_PRIME_FIXTURES)] \
-            == _PROBABLE_PRIME_FIXTURES
+        verdicts = [(x, probable_prime(x)) for x, _ in _PROBABLE_PRIME_FIXTURES]
+        assert verdicts == _PROBABLE_PRIME_FIXTURES
         pool, res = generate(512, 1009)
         assert (pool.primes[0], len(pool.primes), res.offset) == (1009, 48, 324)
         assert res.prime == pool.product + 324 and res.bit_length == 512
