@@ -12,10 +12,11 @@ from __future__ import annotations
 import bisect
 import functools
 import math
+import operator
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import compress, islice, takewhile
+from itertools import chain, compress, islice, repeat, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -38,6 +39,10 @@ SIEVE_GUARD = 10**8
 
 # Primes past the shared sieve are struck in bands of this many integers.
 BLOCK_SPAN = 1 << 16
+
+# _strike reduces the interval's start once per this many consecutive primes
+# that can strike it at most once.
+_STRIKE_GROUP = 16
 
 # Trial division hands off to rho once the trial prime exceeds this, so
 # inputs up to _TRIAL_CAP^2 are fully factored by trial division alone.
@@ -147,15 +152,31 @@ def default_sieve(min_limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeSieve:
 
 def _strike(start: int, count: int, below: int) -> bytearray:
     """alive[i] = 0 exactly when start + i is a multiple of one of the shared
-    sieve's primes below `below` other than the prime itself."""
+    sieve's primes below `below` other than the prime itself.
+
+    A prime p < count strikes its multiples with one slice.  A prime
+    p >= count strikes at most the one offset -start mod p, so those primes
+    are taken in groups of _STRIKE_GROUP: -start is reduced once by a
+    group's product, and each prime's offset is that remainder mod p.  The
+    offsets are streamed, never held.  Last, every sieve prime inside the
+    interval is set alive again: no other prime divides it.
+    """
     primes = default_sieve().primes
     alive = bytearray(b"\x01") * count
-    for p in islice(primes, bisect.bisect_left(primes, below)):
+    end = bisect.bisect_left(primes, below)
+    mid = bisect.bisect_left(primes, count, 0, end)
+    for p in islice(primes, mid):
         i = -start % p
-        if i < count:
-            alive[i::p] = bytes(len(range(i, count, p)))
-            if start <= p < start + count:
-                alive[p - start] = 1
+        alive[i::p] = bytes(len(range(i, count, p)))
+    groups = (primes[j : min(j + _STRIKE_GROUP, end)] for j in range(mid, end, _STRIKE_GROUP))
+    offsets = chain.from_iterable(
+        map(operator.mod, repeat(-start % math.prod(g), len(g)), g) for g in groups
+    )
+    for i in filter(count.__gt__, offsets):
+        alive[i] = 0
+    for p in islice(primes, bisect.bisect_left(primes, start, 0, end),
+                    bisect.bisect_left(primes, start + count, 0, end)):
+        alive[p - start] = 1
     return alive
 
 
@@ -305,7 +326,8 @@ def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
     """Primality for arbitrary-size integers.
 
     Below DETERMINISTIC_PRIMALITY_BOUND this is is_prime, proven exact.
-    Above it: trial division by the primes under 10^4, one strong round to
+    Above it: one gcd with the product of the primes below 10^4 (x exceeds
+    them all, so a common factor proves it composite), one strong round to
     base 2, then `rounds` seeded random-base rounds (reproducible; composite
     error below 4^(-rounds)).  A failed base-2 round proves x composite; a
     pass still faces every random round.  These rounds take their modular
@@ -314,11 +336,16 @@ def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
     """
     if x < DETERMINISTIC_PRIMALITY_BOUND:
         return is_prime(x)
-    for p in default_sieve().primes[:1229]:  # primes below 10^4
-        if x % p == 0:
-            return False
+    if math.gcd(x, _screen_product()) > 1:
+        return False
     d, s = _odd_part(x - 1)
     return _sprp(x, 2, d, s) and _mr_random(x, rounds, seed)
+
+
+@functools.cache
+def _screen_product() -> int:
+    """The product of the 1,229 primes below 10^4, formed once."""
+    return _product(takewhile((10**4).__gt__, default_sieve().primes))
 
 
 def all_prime(xs: list[int]) -> bool:

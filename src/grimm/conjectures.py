@@ -318,6 +318,14 @@ def _find_prime(lo: int, hi: int, lo_open: bool, hi_open: bool) -> IntervalProbe
     return IntervalProbe(lo=lo, hi=hi, lo_open=lo_open, hi_open=hi_open, prime=prime)
 
 
+def _check_block_size(k: int) -> None:
+    if k > SUBSET_GUARD:
+        raise ValueError(
+            f"{k} primes in the block, beyond the subset guard"
+            f" SUBSET_GUARD = {SUBSET_GUARD}; pass a divisor budget"
+        )
+
+
 def _block_divisors(primes: list[int], budget: int | None, seed: int):
     """Nonempty subsets of the prime block, as (least prime, product) pairs.
 
@@ -327,11 +335,7 @@ def _block_divisors(primes: list[int], budget: int | None, seed: int):
     """
     k = len(primes)
     if budget is None:
-        if k > SUBSET_GUARD:
-            raise ValueError(
-                f"{k} primes in the block, beyond the subset guard"
-                f" SUBSET_GUARD = {SUBSET_GUARD}; pass a divisor budget"
-            )
+        _check_block_size(k)
         for size in range(1, k + 1):
             for sub in itertools.combinations(primes, size):
                 d = math.prod(sub)
@@ -350,6 +354,30 @@ def _band(lo: int, hi: int) -> list[int]:
     return band_primes(lo, hi)
 
 
+def _block_i(n: int) -> list[int]:
+    """The primes in (n, 2n), the block of clause (i)."""
+    if n < 2:
+        raise ValueError("defined for n >= 2")
+    return _band(n + 1, 2 * n)
+
+
+def _block_ii(n: int) -> list[int]:
+    """The primes in (n/2, n), the block of clause (ii)."""
+    if n < 3:
+        raise ValueError("defined for n >= 3")
+    return _band(n // 2 + 1, n)
+
+
+def check_subset_guard(part: str, n_lo: int, n_hi: int) -> None:
+    """Make, for n = n_lo .. n_hi in turn, the checks an exhaustive probe of
+    clause `part` makes before its first divisor: n in range, the block
+    within SIEVE_GUARD and of at most SUBSET_GUARD primes.  The first n
+    that fails raises that probe's error, before any probe has run."""
+    block = _block_i if part == "i" else _block_ii
+    for n in range(n_lo, n_hi + 1):
+        _check_block_size(len(block(n)))
+
+
 def conjecture2_i(
     n: int, divisor_budget: int | None = None, seed: int = 0
 ) -> list[DivisorProbe]:
@@ -359,11 +387,8 @@ def conjecture2_i(
     a prime must appear in (d-n, d+n] and in (d-q, d+q).  Failures are
     returned in the probe records, never raised.
     """
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    block = _band(n + 1, 2 * n)
     out = []
-    for q, d in _block_divisors(block, divisor_budget, seed):
+    for q, d in _block_divisors(_block_i(n), divisor_budget, seed):
         clauses = (
             _find_prime(d - n, d + n, lo_open=True, hi_open=False),
             _find_prime(d - q, d + q, lo_open=True, hi_open=True),
@@ -387,11 +412,8 @@ def conjecture2_ii(
     when every such p, and so its least prime q, has p >= r and
     p >= n + 1 - r.
     """
-    if n < 3:
-        raise ValueError("defined for n >= 3")
-    block = _band(n // 2 + 1, n)
     out = []
-    for q, d in _block_divisors(block, divisor_budget, seed):
+    for q, d in _block_divisors(_block_ii(n), divisor_budget, seed):
         t = (d - 1) // n
         r = d - n * t
         if q < max(r, n + 1 - r):

@@ -248,6 +248,102 @@ def test_is_prime_never_reaches_the_kernel(monkeypatch):
         probable_prime(2**89 - 1)
 
 
+def _count_powers(monkeypatch):
+    """The moduli of every _powmod call from here on, in call order."""
+    calls, real = [], grimm.arith._powmod
+
+    def counted(a, d, x):
+        calls.append(x)
+        return real(a, d, x)
+
+    monkeypatch.setattr(grimm.arith, "_powmod", counted)
+    return calls
+
+
+_BELOW_1E4 = [p for p in range(2, 10**4) if naive_is_prime(p)]
+_SCREENED = [2, 3, 9973, *random.Random(26).sample(_BELOW_1E4[2:-1], 20)]
+
+
+@pytest.mark.parametrize("p", _SCREENED)
+def test_screen_refuses_every_prime_below_ten_thousand_without_a_power(monkeypatch, p):
+    # q is prime, so p is the only prime below 10^4 that divides p * q.
+    calls = _count_powers(monkeypatch)
+    q = 2**89 - 1
+    assert p * q >= DETERMINISTIC_PRIMALITY_BOUND
+    assert probable_prime(p * q) is False
+    assert calls == []
+
+
+def test_screen_stops_below_ten_thousand(monkeypatch):
+    # 10007 is the least prime above 10^4: its multiple passes the screen
+    # and is refused by the base-2 round.
+    assert len(_BELOW_1E4) == 1229 and _BELOW_1E4[-1] == 9973
+    calls = _count_powers(monkeypatch)
+    x = 10007 * (2**89 - 1)
+    assert probable_prime(x) is False
+    assert calls == [x]
+
+
+def test_generate_2048_bit_sweep_makes_155_powers(monkeypatch):
+    # 114 candidates refused by the base-2 round, then 41 rounds on the prime:
+    # no candidate is tested twice or skipped.
+    calls = _count_powers(monkeypatch)
+    pool, res = generate(2048, 4001)
+    assert res.offset == 1356
+    assert len(calls) == 155 and calls.count(res.prime) == 41
+    assert len(set(calls)) == 115 and calls[-41:] == [res.prime] * 41
+
+
+def _strike_per_prime(start, count, below):
+    """_strike as one slice strike per sieve prime below `below`, each
+    setting its own value alive again."""
+    primes = default_sieve().primes
+    alive = bytearray(b"\x01") * count
+    for p in primes[: bisect.bisect_left(primes, below)]:
+        i = -start % p
+        if i < count:
+            alive[i::p] = bytes(len(range(i, count, p)))
+            if start <= p < start + count:
+                alive[p - start] = 1
+    return alive
+
+
+def _last_group(count, below):
+    """The number of primes in _strike's last group for (count, below)."""
+    primes = default_sieve().primes
+    grouped = bisect.bisect_left(primes, below) - bisect.bisect_left(primes, count)
+    return (grouped - 1) % grimm.arith._STRIKE_GROUP + 1
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=8)
+@given(st.integers(2**2047, 2**2048 - 1))
+def test_strike_matches_per_prime_at_2048_bits(start):
+    assert _last_group(4001, 10**6) == 12  # shorter than the rest
+    assert grimm.arith._strike(start, 4001, 10**6) == _strike_per_prime(start, 4001, 10**6)
+
+
+@pytest.mark.parametrize("start, count, below", [
+    (999_000, 3000, 10**6),  # sieve primes >= count inside the interval
+    (2, 10**4, 10**6),  # every prime below 10^4 restored
+    (999_000, 3000, 2 * 10**6),  # below past the sieve's last prime
+    (10**5 - 7, 1, 10**6),  # count 1, at a prime
+    (2**2047 + 1, 1, 10**6),  # count 1, big start
+    (10**9 + 1, 500, 600),  # no prime >= count below `below`
+    (10**9 + 1, 700, 50_000),  # last group of 16 full
+    (0, 40, 30),  # 0 is a multiple of every prime
+])
+def test_strike_matches_per_prime_at_the_edges(start, count, below):
+    if (count, below) == (700, 50_000):
+        assert _last_group(count, below) == grimm.arith._STRIKE_GROUP
+    assert grimm.arith._strike(start, count, below) == _strike_per_prime(start, count, below)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=25)
+@given(st.integers(0, 3 * 10**6), st.integers(1, 6000), st.integers(2, 2 * 10**6))
+def test_strike_matches_per_prime_on_small_starts(start, count, below):
+    assert grimm.arith._strike(start, count, below) == _strike_per_prime(start, count, below)
+
+
 def test_factorize_fixtures():
     assert factorize(120) == {2: 3, 3: 1, 5: 1}
     assert factorize(121) == {11: 2}

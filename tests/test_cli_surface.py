@@ -182,6 +182,8 @@ def test_parsed_arguments(monkeypatch, argv, own):
     (("hn", "--n", "200"), "ENUMERATION_GUARD"),
     (("w", "--m", "5", "--cap", "10001"), "W_CAP_GUARD"),
     (("conjecture2", "--part", "i", "--n-min", "100", "--n-max", "100"), "SUBSET_GUARD"),
+    # Refused before its first probe: the block of n = 199 holds 21 primes.
+    (("conjecture2", "--part", "ii", "--n-max", "200"), "SUBSET_GUARD"),
     (("factorize", "--m", str(2**64), "--n", "1"), "FACTORIZATION_BOUND"),
     (("verify", "--limit", str(10**10)), "SIEVE_GUARD"),
     (("scan", "--m-max", str(10**30), "--n-max", "50"), "FACTORIZATION_BOUND"),
