@@ -182,8 +182,6 @@ def test_parsed_arguments(monkeypatch, argv, own):
     (("hn", "--n", "200"), "ENUMERATION_GUARD"),
     (("w", "--m", "5", "--cap", "10001"), "W_CAP_GUARD"),
     (("conjecture2", "--part", "i", "--n-min", "100", "--n-max", "100"), "SUBSET_GUARD"),
-    # Refused before its first probe: the block of n = 199 holds 21 primes.
-    (("conjecture2", "--part", "ii", "--n-max", "200"), "SUBSET_GUARD"),
     (("factorize", "--m", str(2**64), "--n", "1"), "FACTORIZATION_BOUND"),
     (("verify", "--limit", str(10**10)), "SIEVE_GUARD"),
     (("scan", "--m-max", str(10**30), "--n-max", "50"), "FACTORIZATION_BOUND"),
@@ -201,6 +199,8 @@ def test_parsed_arguments(monkeypatch, argv, own):
      "sieve limit 200000000 exceeds SIEVE_GUARD = 100000000"),
     # The count stops at the enumeration guard before it reads past the sieve.
     (("hn", "--n", "200000000"), "ENUMERATION_GUARD"),
+    # Refused before its first probe: the block of n = 199 holds 21 primes.
+    (("conjecture2", "--part", "ii", "--n-max", "200"), "SUBSET_GUARD"),
 ])
 def test_guard_errors_name_their_guard(capsys, argv, guard):
     # A lost guard would start the work it refuses; the alarm makes that a
