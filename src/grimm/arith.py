@@ -12,11 +12,10 @@ from __future__ import annotations
 import bisect
 import functools
 import math
-import operator
 import random
 from array import array
 from dataclasses import dataclass
-from itertools import chain, compress, islice, repeat, takewhile
+from itertools import compress, islice, takewhile
 from operator import itemgetter
 from typing import Iterable, Iterator
 
@@ -40,9 +39,9 @@ SIEVE_GUARD = 10**8
 # Primes past the shared sieve are struck in bands of this many integers.
 BLOCK_SPAN = 1 << 16
 
-# _strike reduces the interval's start once per this many consecutive primes
-# that can strike it at most once.
-_STRIKE_GROUP = 16
+# _strike reduces the interval's start once per aligned run of this many
+# sieve primes (PrimeSieve.group_products).
+_STRIKE_GROUP = 32
 
 # Trial division hands off to rho once the trial prime exceeds this, so
 # inputs up to _TRIAL_CAP^2 are fully factored by trial division alone.
@@ -88,8 +87,9 @@ class PrimeSieve:
     0, 1 and the primes, in an unsigned 16-bit array: that factor is at most
     isqrt(SIEVE_GUARD) < 2^16, and a wider one would raise OverflowError in
     the strike, never wrap.
-    Immutable once built; all queries are read-only, so a single instance
-    may be shared freely across threads (and across forked workers).
+    Immutable once built (group_products is filled in on first use, always to
+    the same value); all queries are read-only, so a single instance may be
+    shared freely across threads (and across forked workers).
     """
 
     def __init__(self, limit: int):
@@ -109,6 +109,14 @@ class PrimeSieve:
         self._spf = spf = array("H", [0]) * (limit + 1)
         for p in reversed(self.primes[: bisect.bisect_right(self.primes, root)]):
             spf[p * p :: p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+
+    @functools.cached_property
+    def group_products(self) -> tuple[int, ...]:
+        """The product of primes[j : j + _STRIKE_GROUP] for each multiple j
+        of _STRIKE_GROUP."""
+        primes = self.primes
+        return tuple(math.prod(primes[j : j + _STRIKE_GROUP])
+                     for j in range(0, len(primes), _STRIKE_GROUP))
 
     def _check(self, x: int) -> None:
         if x < 0 or x > self.limit:
@@ -154,26 +162,31 @@ def _strike(start: int, count: int, below: int) -> bytearray:
     """alive[i] = 0 exactly when start + i is a multiple of one of the shared
     sieve's primes below `below` other than the prime itself.
 
-    A prime p < count strikes its multiples with one slice.  A prime
-    p >= count strikes at most the one offset -start mod p, so those primes
-    are taken in groups of _STRIKE_GROUP: -start is reduced once by a
-    group's product, and each prime's offset is that remainder mod p.  The
-    offsets are streamed, never held.  Last, every sieve prime inside the
-    interval is set alive again: no other prime divides it.
+    A prime p < count strikes its multiples with one slice, and so does
+    every prime up to the next multiple of _STRIKE_GROUP in the sieve's
+    list.  Each later prime strikes at most the one offset -start mod p, and
+    is taken with its aligned group of the sieve's group_products: start is
+    reduced once by the group's product, and each prime's offset is the
+    negated remainder mod p.  A small start is its own remainder, so no
+    caller pays more than one small mod per prime.  Last, every sieve prime
+    inside the interval is set alive again: no other prime divides it.
     """
-    primes = default_sieve().primes
+    sieve = default_sieve()
+    primes = sieve.primes
     alive = bytearray(b"\x01") * count
     end = bisect.bisect_left(primes, below)
     mid = bisect.bisect_left(primes, count, 0, end)
+    mid = min(mid + -mid % _STRIKE_GROUP, end)
     for p in islice(primes, mid):
         i = -start % p
         alive[i::p] = bytes(len(range(i, count, p)))
-    groups = (primes[j : min(j + _STRIKE_GROUP, end)] for j in range(mid, end, _STRIKE_GROUP))
-    offsets = chain.from_iterable(
-        map(operator.mod, repeat(-start % math.prod(g), len(g)), g) for g in groups
-    )
-    for i in filter(count.__gt__, offsets):
-        alive[i] = 0
+    products = islice(sieve.group_products, mid // _STRIKE_GROUP, None)
+    for j, product in zip(range(mid, end, _STRIKE_GROUP), products):
+        r = -(start % product)
+        for p in primes[j : min(j + _STRIKE_GROUP, end)]:
+            i = r % p
+            if i < count:
+                alive[i] = 0
     for p in islice(primes, bisect.bisect_left(primes, start, 0, end),
                     bisect.bisect_left(primes, start + count, 0, end)):
         alive[p - start] = 1

@@ -31,7 +31,9 @@ from . import __version__
 from .arith import Window
 from .assign import exact_representation_exists, g_of_m, scan_counterexamples, w_of_m
 from .conjectures import (
-    check_subset_guard,
+    _block_i,
+    _block_ii,
+    _check_subset_guard,
     cramer_gap_scan,
     conjecture1_probe,
     conjecture2_i,
@@ -273,9 +275,9 @@ def _conjecture1(args):
              _int("--n-min"), _int("--n-max", required=True), ("--budget", {"type": _count}))
 def _conjecture2(args):
     n_lo = args.n_min if args.n_min is not None else (2 if args.part == "i" else 3)
-    probe = conjecture2_i if args.part == "i" else conjecture2_ii
+    probe, block = (conjecture2_i, _block_i) if args.part == "i" else (conjecture2_ii, _block_ii)
     if args.budget is None:
-        check_subset_guard(args.part, n_lo, args.n_max)
+        _check_subset_guard(block, n_lo, args.n_max)
     probes = 0
     vacuous = 0
     violations = []

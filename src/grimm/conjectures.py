@@ -27,6 +27,7 @@ import math
 import random
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 from .arith import (
     BLOCK_SPAN,
@@ -368,12 +369,12 @@ def _block_ii(n: int) -> list[int]:
     return _band(n // 2 + 1, n)
 
 
-def check_subset_guard(part: str, n_lo: int, n_hi: int) -> None:
+def _check_subset_guard(block: Callable[[int], list[int]], n_lo: int, n_hi: int) -> None:
     """Make, for n = n_lo .. n_hi in turn, the checks an exhaustive probe of
-    clause `part` makes before its first divisor: n in range, the block
-    within SIEVE_GUARD and of at most SUBSET_GUARD primes.  The first n
-    that fails raises that probe's error, before any probe has run."""
-    block = _block_i if part == "i" else _block_ii
+    the clause whose prime block is block(n) makes before its first divisor:
+    n in range, the block within SIEVE_GUARD and of at most SUBSET_GUARD
+    primes.  The first n that fails raises that probe's error, before any
+    probe has run."""
     for n in range(n_lo, n_hi + 1):
         _check_block_size(len(block(n)))
 
@@ -443,9 +444,7 @@ class CramerGapRecord:
 
 
 def cramer_gap_report(n: int) -> CramerGapRecord:
-    if n < 2:
-        raise ValueError("defined for n >= 2")
-    block = _band(n + 1, 2 * n)
+    block = _block_i(n)
     q = block[0]
     d = _product(block)
     if d - q <= 0:

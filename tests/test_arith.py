@@ -308,17 +308,16 @@ def _strike_per_prime(start, count, below):
     return alive
 
 
-def _last_group(count, below):
-    """The number of primes in _strike's last group for (count, below)."""
-    primes = default_sieve().primes
-    grouped = bisect.bisect_left(primes, below) - bisect.bisect_left(primes, count)
-    return (grouped - 1) % grimm.arith._STRIKE_GROUP + 1
+def _last_group(below):
+    """The number of primes below `below` in their last aligned group."""
+    end = bisect.bisect_left(default_sieve().primes, below)
+    return (end - 1) % grimm.arith._STRIKE_GROUP + 1
 
 
 @settings(derandomize=True, database=None, deadline=None, max_examples=8)
 @given(st.integers(2**2047, 2**2048 - 1))
 def test_strike_matches_per_prime_at_2048_bits(start):
-    assert _last_group(4001, 10**6) == 12  # shorter than the rest
+    assert _last_group(10**6) == 2  # shorter than the rest
     assert grimm.arith._strike(start, 4001, 10**6) == _strike_per_prime(start, 4001, 10**6)
 
 
@@ -329,12 +328,15 @@ def test_strike_matches_per_prime_at_2048_bits(start):
     (10**5 - 7, 1, 10**6),  # count 1, at a prime
     (2**2047 + 1, 1, 10**6),  # count 1, big start
     (10**9 + 1, 500, 600),  # no prime >= count below `below`
-    (10**9 + 1, 700, 50_000),  # last group of 16 full
+    (10**9 + 1, 700, 29_453),  # last group of 32 full
+    (10**9 + 1, 4759, 50_000),  # count's own index starts a group
     (0, 40, 30),  # 0 is a multiple of every prime
 ])
 def test_strike_matches_per_prime_at_the_edges(start, count, below):
-    if (count, below) == (700, 50_000):
-        assert _last_group(count, below) == grimm.arith._STRIKE_GROUP
+    if below == 29_453:
+        assert _last_group(below) == grimm.arith._STRIKE_GROUP
+    if count == 4759:
+        assert bisect.bisect_left(default_sieve().primes, count) % grimm.arith._STRIKE_GROUP == 0
     assert grimm.arith._strike(start, count, below) == _strike_per_prime(start, count, below)
 
 
