@@ -26,6 +26,10 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 _MR_BASES = ((1 << 64, (2, 325, 9375, 28178, 450775, 9780504, 1795265022)),
              (DETERMINISTIC_PRIMALITY_BOUND, (*_SMALL_PRIMES, 41)))
 
+# probable_prime's seeded random-base rounds above psi_13 unless a caller
+# asks for others: a composite passes them with probability below 4^-40.
+DEFAULT_MR_ROUNDS = 40
+
 # Factorization is guaranteed to terminate for inputs below 2^64.
 FACTORIZATION_BOUND = 1 << 64
 
@@ -206,6 +210,26 @@ def band_primes(lo: int, hi: int) -> list[int]:
     return [x for x in compress(range(lo, hi), alive) if x <= square or is_prime(x)]
 
 
+def first_prime(start: int, count: int, order, depth: int,
+                rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0) -> int | None:
+    """The first probable prime among start + i, taken over the indices
+    0 <= i < count in the order `order` (which may skip some); None when
+    there is none.
+
+    The interval is sieved once before any test: every prime p below depth
+    costs one start mod p and strikes its multiples other than p itself,
+    all of which are composite or below 2.  Only unstruck values >= 2 reach
+    probable_prime, so the answer is that of testing each visited value in
+    order.
+    """
+    alive = _strike(start, count, depth)
+    for i in order:
+        x = start + i
+        if x >= 2 and alive[i] and probable_prime(x, rounds, seed):
+            return x
+    return None
+
+
 def primes_upto(n: int) -> Iterator[int]:
     """The primes <= n, ascending: the shared sieve's, then band_primes in bands
     of BLOCK_SPAN past it.  n > SIEVE_GUARD is refused once it reads that far."""
@@ -335,7 +359,7 @@ def _mr_random(x: int, rounds: int, seed: int) -> bool:
     return all(_sprp(x, rng.randrange(2, x - 1), d, s) for _ in range(rounds))
 
 
-def probable_prime(x: int, rounds: int = 40, seed: int = 0) -> bool:
+def probable_prime(x: int, rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0) -> bool:
     """Primality for arbitrary-size integers.
 
     Below DETERMINISTIC_PRIMALITY_BOUND this is is_prime, proven exact.
@@ -386,8 +410,6 @@ def _brent_rho(n: int) -> int:
     The polynomial offset c walks a fixed sequence 1, 2, 3, ... so the
     search is deterministic; every composite below 2^64 yields to some c.
     """
-    if n % 2 == 0:
-        return 2
     for c in range(1, 10_000):
         y, m, g, r, q = 2, 128, 1, 1, 1
         x = ys = y

@@ -28,7 +28,7 @@ from itertools import chain, islice
 from typing import Callable
 
 from . import __version__
-from .arith import Window
+from .arith import DEFAULT_MR_ROUNDS, Window
 from .assign import exact_representation_exists, g_of_m, scan_counterexamples, w_of_m
 from .conjectures import (
     _block_i,
@@ -52,13 +52,6 @@ EXIT_OK = 0
 EXIT_FINDINGS = 1
 EXIT_ERROR = 2
 EXIT_INTERNAL = 3
-
-
-def _default_workers() -> int:
-    try:
-        return max(1, int(os.environ.get("GRIMM_WORKERS", "1")))
-    except ValueError:
-        return 1
 
 
 def _int(flag: str, default=None, required: bool = False):
@@ -106,7 +99,7 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=f"grimm {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     common = (
-        ("--workers", {"type": _count, "default": _default_workers()}),
+        ("--workers", {"type": _count, "default": 1}),
         ("--format", {"choices": ("json", "csv", "text"), "default": "text"}),
         ("--output", {"help": "write the report to a file"}),
         _int("--seed", 0),
@@ -310,7 +303,8 @@ def _cramer_gap(args):
 
 
 @_subcommand("primegen", "generate a prime near a small-prime product",
-             _int("--bits", required=True), _int("--band-start", 29), _int("--mr-rounds", 40),
+             _int("--bits", required=True), _int("--band-start", 29),
+             _int("--mr-rounds", DEFAULT_MR_ROUNDS),
              ("--candidates", {"help": "comma-separated primes overriding the band scan"}))
 def _primegen(args):
     candidates = None

@@ -35,10 +35,13 @@ from .arith import (
     Window,
     _check_sieve_limit,
     _product,
+    _vp_binomial,
     band_primes,
     default_sieve,
+    first_prime,
     is_prime,
     largest_prime_factors,
+    largest_prime_power,
 )
 from .assign import (
     RepresentationDecision,
@@ -47,8 +50,6 @@ from .assign import (
     exact_representation_exists,
     scan_counterexamples,
 )
-from .coprime import _checked_witness, _witness
-from .primegen import first_prime
 
 SUBSET_GUARD = 20  # probe every divisor only when the prime block has <= this many primes
 
@@ -206,8 +207,8 @@ class SmallWindowReport:
     admit the full representation.  The failures are decided by
     scan_counterexamples.  A width-max_n window whose elements all avoid
     H(max_n) has it by the threshold argument: each element's L(x) > max_n
-    is checked by largest_prime_power (coprime._witness), and its prime, the
-    witness, by floor sums (coprime._checked_witness).  The width-max_n
+    is checked by largest_prime_power (_witness), and its prime, the
+    witness, by floor sums (_checked_witness).  The width-max_n
     windows that meet H(max_n) are listed with their members
     (`fallback_windows`), and scan decides them.
     """
@@ -227,6 +228,32 @@ def _windows_in_run(k: int, max_n: int) -> int:
     """The windows of widths 2 .. max_n inside k consecutive integers."""
     t = min(max(k, 1), max_n)
     return (t - 1) * (2 * k - t) // 2
+
+
+def _witness(x: int, n: int) -> tuple[int, int] | None:
+    """(p, v) with p^v = L(x) checked by largest_prime_power, if L(x) > n;
+    None for x in H(n), a prime <= n, or x < 2.  No window enters, so a walk
+    finds it once per element."""
+    p, v = largest_prime_power(x) if x >= 2 else (1, 0)
+    return (p, v) if p**v > n else None
+
+
+def _checked_witness(w: Window, x: int, found: tuple[int, int] | None) -> int | None:
+    """The prime p of found = _witness(x, w.n), once its exponent in
+    C(m+n, n) is checked by floor sums to lie in [1, v_p(x)].
+
+    Since p^v_p(x) > n, x is the window's unique valuation maximum at p,
+    which pins that exponent there; a value outside it raises
+    InternalContradiction.
+    """
+    if found is None:
+        return None
+    p, v = found
+    e = _vp_binomial(p, w.m, w.n)
+    if not 1 <= e <= v:
+        raise InternalContradiction(
+            f"witness {p} at {x}: coefficient valuation {e} outside [1, {v}]")
+    return p
 
 
 def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:

@@ -17,10 +17,8 @@ from dataclasses import dataclass
 from .arith import (
     InternalContradiction,
     Window,
-    _vp_binomial,
     all_prime,
     factorize,
-    largest_prime_power,
     representation_threshold,
 )
 from .smooth import in_hn
@@ -189,29 +187,3 @@ def full_representation(w: Window) -> CoprimeRepresentation:
     if not rep.all_factors_nontrivial:
         raise InternalContradiction(f"trivial part above the threshold: {rep.factors}")
     return rep
-
-
-def _witness(x: int, n: int) -> tuple[int, int] | None:
-    """(p, v) with p^v = L(x) checked by largest_prime_power, if L(x) > n;
-    None for x in H(n), a prime <= n, or x < 2.  No window enters, so a walk
-    finds it once per element."""
-    p, v = largest_prime_power(x) if x >= 2 else (1, 0)
-    return (p, v) if p**v > n else None
-
-
-def _checked_witness(w: Window, x: int, found: tuple[int, int] | None) -> int | None:
-    """The prime p of found = _witness(x, w.n), once its exponent in
-    C(m+n, n) is checked by floor sums to lie in [1, v_p(x)].
-
-    Since p^v_p(x) > n, x is the window's unique valuation maximum at p,
-    which pins that exponent there; a value outside it raises
-    InternalContradiction.
-    """
-    if found is None:
-        return None
-    p, v = found
-    e = _vp_binomial(p, w.m, w.n)
-    if not 1 <= e <= v:
-        raise InternalContradiction(
-            f"witness {p} at {x}: coefficient valuation {e} outside [1, {v}]")
-    return p

@@ -12,9 +12,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .arith import DEFAULT_SIEVE_LIMIT, _strike, band_primes, probable_prime
-
-DEFAULT_MR_ROUNDS = 40
+from .arith import DEFAULT_MR_ROUNDS, DEFAULT_SIEVE_LIMIT, band_primes, first_prime, probable_prime
 
 # Bounded backtracking: give up on a pool after this many search nodes.
 _SELECT_NODE_BUDGET = 10**6
@@ -93,8 +91,8 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
         # Depth-first, taking desc[i] before skipping it.  A pending node is
         # (i, prod, slots, depth, window): depth is how many of `chosen` are
         # its own, window the product of the `slots` largest remaining,
-        # desc[i : i + slots] (0 when fewer remain).  The stack holds at most
-        # one skip per level.
+        # desc[i : i + slots] (0 when fewer remain, so the bound prunes it).
+        # The stack holds at most one skip per level.
         nonlocal nodes
         chosen: list[int] = []
         stack = [(0, 1, size, 0, largest)]
@@ -109,8 +107,6 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
             if slots == 0:
                 if lo <= prod < hi:
                     return sorted(chosen)
-                continue
-            if total - i < slots:
                 continue
             # best case: the `slots` largest remaining; worst case: the smallest
             if prod * window < lo or prod * small[slots] >= hi:
@@ -136,26 +132,6 @@ def select_pool(bits: int, candidate_primes) -> PrimePool:
     if found is None:
         raise NoFeasiblePool(f"no subset of {len(cand)} candidates reaches {bits} bits")
     return PrimePool(primes=tuple(found))
-
-
-def first_prime(start: int, count: int, order, depth: int,
-                rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0) -> int | None:
-    """The first probable prime among start + i, taken over the indices
-    0 <= i < count in the order `order` (which may skip some); None when
-    there is none.
-
-    The interval is sieved once before any test: every prime p below depth
-    costs one start mod p and strikes its multiples other than p itself,
-    all of which are composite or below 2.  Only unstruck values >= 2 reach
-    probable_prime, so the answer is that of testing each visited value in
-    order.
-    """
-    alive = _strike(start, count, depth)
-    for i in order:
-        x = start + i
-        if x >= 2 and alive[i] and probable_prime(x, rounds, seed):
-            return x
-    return None
 
 
 def sweep(k: int, p1: int, mr_rounds: int = DEFAULT_MR_ROUNDS, seed: int = 0) -> GenerationResult:

@@ -14,7 +14,7 @@ from hypothesis import strategies as st
 
 import grimm.arith
 import grimm.cli
-import grimm.coprime
+import grimm.conjectures
 import grimm.smooth
 from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, run
 from grimm.coprime import InternalContradiction
@@ -287,13 +287,15 @@ def test_timings_flag_adds_elapsed(capsys):
     assert "elapsed_seconds" in json.loads(out)
 
 
-def test_worker_default_from_environment(monkeypatch, capsys):
+def test_worker_count_ignores_environment(monkeypatch, capsys):
+    # A report follows from its command line alone: --workers defaults to 1.
+    monkeypatch.delenv("GRIMM_WORKERS", raising=False)
+    code, plain = run_capture(capsys, "g", "--m", "10", "--format", "json")
+    assert code == EXIT_OK
     monkeypatch.setenv("GRIMM_WORKERS", "6")
     code, out = run_capture(capsys, "g", "--m", "10", "--format", "json")
     assert code == EXIT_OK
-    assert json.loads(out)["config"]["params"]["workers"] == 6
-    monkeypatch.setenv("GRIMM_WORKERS", "junk")
-    code, out = run_capture(capsys, "g", "--m", "10", "--format", "json")
+    assert out == plain
     assert json.loads(out)["config"]["params"]["workers"] == 1
 
 
@@ -378,9 +380,9 @@ def test_crash_is_internal_error_not_findings(monkeypatch, capsys, exc):
 
 
 def _zero_valuation_at_1327(monkeypatch):
-    vp_binomial = grimm.coprime._vp_binomial
+    vp_binomial = grimm.conjectures._vp_binomial
     monkeypatch.setattr(
-        grimm.coprime, "_vp_binomial", lambda p, m, n: 0 if m == 1327 else vp_binomial(p, m, n)
+        grimm.conjectures, "_vp_binomial", lambda p, m, n: 0 if m == 1327 else vp_binomial(p, m, n)
     )
 
 
@@ -432,7 +434,6 @@ def test_module_entry_exits_3_on_a_corrupted_certificate(tmp_path):
     (tmp_path / "sitecustomize.py").write_text(textwrap.dedent(CORRUPTING_SITECUSTOMIZE))
     argv = [sys.executable, "-m", "grimm", "scan", "--m-max", "200", "--n-max", "12"]
     env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)]))
-    env.pop("GRIMM_WORKERS", None)
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_INTERNAL, done.stderr
     assert done.stdout == ""

@@ -126,7 +126,6 @@ GOLDEN = [
 @pytest.mark.parametrize("argv, status, digests", GOLDEN,
                          ids=[" ".join(argv) for argv, _, _ in GOLDEN])
 def test_report_bytes(monkeypatch, capsys, argv, status, digests):
-    monkeypatch.delenv("GRIMM_WORKERS", raising=False)
     if argv == CRAMER_FINDINGS:
         monkeypatch.setattr(
             grimm.conjectures, "cramer_gap_report",
@@ -172,8 +171,7 @@ def test_parsed_arguments_cover_every_subcommand():
 
 
 @pytest.mark.parametrize("argv, own", PARSED, ids=[argv[0] for argv, _ in PARSED])
-def test_parsed_arguments(monkeypatch, argv, own):
-    monkeypatch.delenv("GRIMM_WORKERS", raising=False)
+def test_parsed_arguments(argv, own):
     args = vars(build_parser().parse_args(list(argv)))
     assert args == {"subcommand": argv[0], **own, **COMMON}
 
@@ -228,8 +226,7 @@ def test_guard_errors_name_their_guard(capsys, argv, guard):
 VERIFY_SMALL_200000_12_SHA = "cd6a10ad1cbbde8ff157686fee18533818159176835a3ab86f220864fd3162d8"
 
 
-def test_verify_small_report_past_the_default_sieve(monkeypatch, capsys):
-    monkeypatch.delenv("GRIMM_WORKERS", raising=False)
+def test_verify_small_report_past_the_default_sieve(capsys):
     assert run(["verify-small", "--m-max", "200000", "--max-n", "12", "--format", "json"]) == 1
     out, err = capsys.readouterr()
     assert err == ""
@@ -241,8 +238,7 @@ def test_verify_small_report_past_the_default_sieve(monkeypatch, capsys):
 VERIFY_1000000_SHA = "70001659f64d16dd3df871c2b06e6b052f59308fbaac286ee43e55cf08a24c74"
 
 
-def test_verify_report_at_a_million(monkeypatch, capsys):
-    monkeypatch.delenv("GRIMM_WORKERS", raising=False)
+def test_verify_report_at_a_million(capsys):
     assert run(["verify", "--limit", "1000000", "--workers", "1", "--format", "json"]) == 0
     out, err = capsys.readouterr()
     assert err == ""

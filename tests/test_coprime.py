@@ -5,11 +5,10 @@ import pytest
 
 import grimm.arith
 from grimm.arith import Window, default_sieve, representation_threshold
+from grimm.conjectures import _checked_witness, _witness
 from grimm.coprime import (
     CanonicalRow,
     CoprimeRepresentation,
-    _checked_witness,
-    _witness,
     construct_representation,
     full_representation,
     representation_from_factors,
