@@ -99,6 +99,20 @@ def test_scan_findings_and_exit(capsys):
     assert all(c["blocking_value"] == 120 for c in report["result"]["counterexamples"])
 
 
+# sha256 of `scan --m-max 232792560 --n-max 20 --format json`: with
+# m_max = lcm(1..20), every counterexample to Conjecture 1 of width <= 20.
+CENSUS_20_SHA = "d4e263ca521f8ba70ec129fbc8ac0b489d7aaad470b2010792c73d18d056f1d7"
+
+
+def test_conjecture1_census_to_width_20(capsys):
+    code, out = run_capture(
+        capsys, "scan", "--m-max", "232792560", "--n-max", "20", "--format", "json"
+    )
+    assert code == EXIT_FINDINGS
+    assert len(json.loads(out)["result"]["counterexamples"]) == 334
+    assert hashlib.sha256(out.encode()).hexdigest() == CENSUS_20_SHA
+
+
 def test_verify_clean_range(capsys):
     code, out = run_capture(
         capsys, "verify", "--limit", "50000", "--format", "json"
