@@ -11,10 +11,12 @@ Two questions, in increasing strength, for the window m+1 .. m+n:
 Both reduce to bipartite matchings that must saturate the index side.
 g_of_m and w_of_m extend them to "largest workable n", and
 scan_counterexamples sweeps a rectangle for all-composite windows where
-the strong form fails.  Those two settle a window whose elements all
-carry a prime power > n without any walk (the H(n) lemma), walk each
-remaining row m once, settle a window whose canonical representation has
-every part > 1 by it, and send only the rest to the matching.
+the strong form fails.  Those two settle a window in this order: without
+any walk when its elements all carry a prime power > n (the H(n) lemma);
+else, walking each remaining row m once, by its canonical representation
+when every part is > 1; else by that representation with one prime moved
+onto each part equal to 1; and only the rest by _decide, which blocks a
+window at an index with no admissible prime before it runs the matching.
 """
 
 from __future__ import annotations
@@ -28,8 +30,10 @@ from itertools import accumulate, chain, groupby
 from .arith import (
     FACTORIZATION_BOUND,
     Window,
+    _vp_binomial,
     all_prime,
     band_primes,
+    factorize,
     largest_prime_factors,
     largest_prime_power,
     prime_divisors,
@@ -129,9 +133,15 @@ def grimm_assignment(w: Window) -> GrimmAssignment | None:
     return None if isinstance(settled, int) else settled
 
 
-def _blocked_evidence(row: CanonicalRow, exps: dict[int, int], index: int) -> BlockedIndex:
+def _blocked(row: CanonicalRow, exps: dict[int, int], index: int) -> RepresentationDecision:
+    """The infeasible decision for the row's window, blocked at index."""
     reasons = tuple((p, exps.get(p, 0), v) for p, v in row.factors[index - 1].items())
-    return BlockedIndex(index=index, value=row.m + index, reasons=reasons)
+    return RepresentationDecision(
+        window=Window(row.m, row.n),
+        feasible=False,
+        certificate=None,
+        blocking=BlockedIndex(index=index, value=row.m + index, reasons=reasons),
+    )
 
 
 def _decide(row: CanonicalRow) -> RepresentationDecision:
@@ -151,17 +161,18 @@ def _decide(row: CanonicalRow) -> RepresentationDecision:
     for p in exps:
         if p not in first:
             raise InternalContradiction(f"prime {p} has no admissible index in {w}")
+    empty = [i for i, ps in adj.items() if not ps]
+    if empty:
+        # An index with no admissible prime blocks every matching: no
+        # matching is run, and the verdict is recounted apart from the row.
+        x = w.m + empty[0]
+        if any(0 < _vp_binomial(p, w.m, w.n) <= v for p, v in factorize(x).items()):
+            raise InternalContradiction(f"{x} has an admissible prime in {w}")
+        return _blocked(row, exps, empty[0])
     matching = max_matching(adj)
     if len(matching) < w.n:
         matched = {i for i, _ in matching}
-        empty = [i for i, ps in adj.items() if not ps]
-        index = empty[0] if empty else min(set(adj) - matched)
-        return RepresentationDecision(
-            window=w,
-            feasible=False,
-            certificate=None,
-            blocking=_blocked_evidence(row, exps, index),
-        )
+        return _blocked(row, exps, min(set(adj) - matched))
     factors = [1] * w.n
     taken = {p: i for i, p in matching}
     assignment = []
@@ -245,10 +256,15 @@ def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
     of p^v, v_p(C(m+n, n)) >= 1, and the canonical rule puts that prime's
     power on m+i.  The rule is monotone in n, so it settles every n below
     the row's first unsettled width n0.  From n0 on, the row's canonical
-    representations are grown one element at a time; a window whose
-    canonical parts are all > 1 is feasible once its certificate passes
-    verify_representation, and the rest go to the matching on the same
-    row, which supplies the blocking evidence.
+    representations are grown one element at a time, and each window is
+    settled by the first of these that applies:
+
+      1. its canonical parts are all > 1: feasible once the certificate
+         passes verify_representation;
+      2. one admissible prime moved onto each part equal to 1 (_one_move):
+         feasible once the moved certificate passes the same check;
+      3. _decide on the same row, which runs the matching unless an index
+         has no admissible prime, and supplies the blocking evidence.
     """
     n0 = next((n for n, low in enumerate(accumulate(tops, min), 1) if low <= n), n_hi + 1)
     for n in range(n_lo, n0):
@@ -266,8 +282,52 @@ def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
             if not verify_representation(rep):
                 raise InternalContradiction(f"canonical certificate fails at {rep.window}")
             yield n, None
+        elif _one_move(row, rep) is not None:
+            yield n, None
         else:
             yield n, _decide(row).blocking
+
+
+def _one_move(row: CanonicalRow, rep: CoprimeRepresentation) -> CoprimeRepresentation | None:
+    """The canonical representation rep of the row's window with one prime
+    moved onto each part equal to 1, checked; None if some such part has no
+    move.
+
+    The parts equal to 1 are taken in ascending index order.  Each takes the
+    first admissible prime p of its element, ascending, whose part holds
+    another prime as well: p^(e_p) divides the element, and the part it
+    leaves stays > 1.  The moved certificate must pass verify_representation.
+    """
+    factors = list(rep.factors)
+    assignment = list(rep.assignment)
+    slot = {p: k for k, (p, _, _) in enumerate(assignment)}
+    held = [0] * len(factors)
+    for _, _, i in assignment:
+        held[i - 1] += 1
+    for i, part in enumerate(factors, 1):
+        if part > 1:
+            continue
+        for p, v in row.factors[i - 1].items():
+            k = slot.get(p)
+            if k is not None:
+                _, e, j = assignment[k]
+                if e <= v and held[j - 1] > 1:
+                    break
+        else:
+            return None
+        held[j - 1] -= 1
+        held[i - 1] += 1
+        assignment[k] = (p, e, i)
+        factors[j - 1] //= p**e
+        factors[i - 1] = p**e
+    cert = CoprimeRepresentation(
+        window=rep.window, factors=tuple(factors), assignment=tuple(assignment)
+    )
+    if not (cert.all_factors_nontrivial and verify_representation(cert)):
+        raise InternalContradiction(
+            f"canonical certificate fails at {cert.window} after one move per part of 1"
+        )
+    return cert
 
 
 W_CAP_GUARD = 10_000

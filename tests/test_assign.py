@@ -371,14 +371,49 @@ def test_decision_checks_matched_certificates(monkeypatch):
         exact_representation_exists(Window(203, 7))
 
 
-def test_scan_checks_each_members_largest_prime_power(monkeypatch):
-    # 840 = 2^3 * 3 * 5 * 7 lies in H(20); reported as 2^4 * 3 * 5 * 7 its L
-    # would still be <= 20, and the scan would keep its 42 findings, but
-    # largest_prime_power recounts v_2(840) = 3 apart from factorize.
-    assert len(scan_counterexamples((1, 3000), (1, 20))) == 42
-    factorize = grimm.arith.factorize
-    monkeypatch.setattr(grimm.arith, "factorize",
-                        lambda x: {2: 4, 3: 1, 5: 1, 7: 1} if x == 840 else factorize(x))
-    with pytest.raises(InternalContradiction) as info:
-        scan_counterexamples((1, 3000), (1, 20))
-    assert str(info.value) == "2^4 is not a prime power exactly dividing 840"
+def recorded(monkeypatch, name):
+    """The results of every call assign makes to its helper name."""
+    results = []
+    real = getattr(grimm.assign, name)
+
+    def recording(*args):
+        results.append(real(*args))
+        return results[-1]
+
+    monkeypatch.setattr(grimm.assign, name, recording)
+    return results
+
+
+def test_empty_index_is_blocked_without_a_matching(monkeypatch):
+    # 120 = 2^3 * 3 * 5 has no admissible prime in 119..126: the window is
+    # blocked there whatever a matching would find.
+    monkeypatch.setattr(grimm.assign, "max_matching", None)
+    decision = exact_representation_exists(Window(118, 8))
+    assert not decision.feasible and decision.blocking.value == 120
+    # The verdict is recounted apart from the row: floor sums that give
+    # every prime exponent 1 make 2 admissible at 120.
+    monkeypatch.setattr(grimm.assign, "_vp_binomial", lambda p, m, n: 1)
+    with pytest.raises(InternalContradiction, match="120 has an admissible prime"):
+        exact_representation_exists(Window(118, 8))
+
+
+def test_scan_moves_before_it_matches(monkeypatch):
+    # The README rectangle: 688 windows settled by their canonical
+    # certificates, 771 by one move, 182 by _decide, of which 7 need a
+    # matching (6 feasible) and 175 have an index with no admissible prime.
+    matchings = recorded(monkeypatch, "max_matching")
+    checks = recorded(monkeypatch, "verify_representation")
+    moves = recorded(monkeypatch, "_one_move")
+    decisions = recorded(monkeypatch, "_decide")
+    assert len(scan_counterexamples((1, 20000), (1, 20))) == 176
+    assert (len(moves), len(decisions), len(matchings)) == (953, 182, 7)
+    assert len(checks) == 688 + 771 + 6
+
+
+def test_moved_windows_are_feasible(monkeypatch):
+    moves = recorded(monkeypatch, "_one_move")
+    scan_counterexamples((1, 3000), (1, 20))
+    moved = [cert.window for cert in moves if cert is not None]
+    assert len(moved) > 100
+    for w in moved:
+        assert exact_representation_exists(w).feasible, w

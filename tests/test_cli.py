@@ -1,5 +1,6 @@
 import errno
 import hashlib
+import inspect
 import json
 import os
 import subprocess
@@ -459,6 +460,45 @@ def test_module_entry_exits_3_on_a_corrupted_certificate(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_FINDINGS, done.stderr
     assert "blocking_value" in done.stdout
+
+
+# Mutants of the one-move repair: (text of assign._one_move, its replacement).
+MOVE_MUTANTS = {
+    "takes_the_only_prime_of_a_part": ("held[j - 1] > 1", "held[j - 1] > 0"),
+    "moves_a_prime_that_is_not_admissible": ("e <= v and ", ""),
+}
+
+# Loaded at start-up like CORRUPTING_SITECUSTOMIZE: rebinds assign._one_move
+# to its own source with one condition replaced.
+MOVE_MUTANT_SITECUSTOMIZE = """
+import inspect
+import grimm.assign
+
+source = inspect.getsource(grimm.assign._one_move)
+exec(source.replace({old!r}, {new!r}), vars(grimm.assign))
+"""
+
+
+@pytest.mark.parametrize("old, new", MOVE_MUTANTS.values(), ids=list(MOVE_MUTANTS))
+def test_broken_move_exits_3(monkeypatch, tmp_path, old, new):
+    source = inspect.getsource(grimm.assign._one_move)
+    assert source.count(old) == 1
+    namespace = dict(vars(grimm.assign))
+    exec(source.replace(old, new), namespace)
+    with monkeypatch.context() as patch:
+        patch.setattr(grimm.assign, "_one_move", namespace["_one_move"])
+        with pytest.raises(InternalContradiction, match="after one move per part of 1"):
+            grimm.assign.scan_counterexamples((1, 200), (1, 12))
+    site = MOVE_MUTANT_SITECUSTOMIZE.format(old=old, new=new)
+    (tmp_path / "sitecustomize.py").write_text(site)
+    argv = [sys.executable, "-m", "grimm", "scan", "--m-max", "200", "--n-max", "12"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)]))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INTERNAL, done.stderr
+    assert done.stdout == ""
+    error = json.loads(done.stderr)
+    assert error["error"] == "InternalContradiction"
+    assert "after one move per part of 1" in error["message"]
 
 
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
