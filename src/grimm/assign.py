@@ -161,14 +161,14 @@ def _decide(row: CanonicalRow) -> RepresentationDecision:
     for p in exps:
         if p not in first:
             raise InternalContradiction(f"prime {p} has no admissible index in {w}")
-    empty = [i for i, ps in adj.items() if not ps]
-    if empty:
+    empty = next((i for i, ps in adj.items() if not ps), None)
+    if empty is not None:
         # An index with no admissible prime blocks every matching: no
         # matching is run, and the verdict is recounted apart from the row.
-        x = w.m + empty[0]
+        x = w.m + empty
         if any(0 < _vp_binomial(p, w.m, w.n) <= v for p, v in factorize(x).items()):
             raise InternalContradiction(f"{x} has an admissible prime in {w}")
-        return _blocked(row, exps, empty[0])
+        return _blocked(row, exps, empty)
     matching = max_matching(adj)
     if len(matching) < w.n:
         matched = {i for i, _ in matching}
@@ -295,31 +295,28 @@ def _one_move(row: CanonicalRow, rep: CoprimeRepresentation) -> CoprimeRepresent
 
     The parts equal to 1 are taken in ascending index order.  Each takes the
     first admissible prime p of its element, ascending, whose part holds
-    another prime as well: p^(e_p) divides the element, and the part it
-    leaves stays > 1.  The moved certificate must pass verify_representation.
+    another prime as well (is more than p^(e_p)): p^(e_p) divides the
+    element, and the part it leaves stays > 1.  The moved certificate must
+    pass verify_representation.
     """
     factors = list(rep.factors)
     assignment = list(rep.assignment)
     slot = {p: k for k, (p, _, _) in enumerate(assignment)}
-    held = [0] * len(factors)
-    for _, _, i in assignment:
-        held[i - 1] += 1
-    for i, part in enumerate(factors, 1):
-        if part > 1:
+    for i, element in enumerate(row.factors, 1):
+        if factors[i - 1] > 1:
             continue
-        for p, v in row.factors[i - 1].items():
+        for p, v in element.items():
             k = slot.get(p)
             if k is not None:
                 _, e, j = assignment[k]
-                if e <= v and held[j - 1] > 1:
+                q = p**e
+                if e <= v and factors[j - 1] > q:
                     break
         else:
             return None
-        held[j - 1] -= 1
-        held[i - 1] += 1
         assignment[k] = (p, e, i)
-        factors[j - 1] //= p**e
-        factors[i - 1] = p**e
+        factors[j - 1] //= q
+        factors[i - 1] = q
     cert = CoprimeRepresentation(
         window=rep.window, factors=tuple(factors), assignment=tuple(assignment)
     )

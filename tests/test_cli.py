@@ -464,7 +464,7 @@ def test_module_entry_exits_3_on_a_corrupted_certificate(tmp_path):
 
 # Mutants of the one-move repair: (text of assign._one_move, its replacement).
 MOVE_MUTANTS = {
-    "takes_the_only_prime_of_a_part": ("held[j - 1] > 1", "held[j - 1] > 0"),
+    "takes_the_only_prime_of_a_part": ("factors[j - 1] > q", "factors[j - 1] >= q"),
     "moves_a_prime_that_is_not_admissible": ("e <= v and ", ""),
 }
 
