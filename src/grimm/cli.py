@@ -204,12 +204,12 @@ def _w(args):
              _int("--n-min", 1), _int("--n-max", required=True),
              csv=_rows("counterexamples", ("m", "n", "blocking_value")))
 def _scan(args):
-    hits = scan_counterexamples((args.m_min, args.m_max), (args.n_min, args.n_max))
+    hits = _plain(scan_counterexamples((args.m_min, args.m_max), (args.n_min, args.n_max)))
     return {
         "m_range": [args.m_min, args.m_max],
         "n_range": [args.n_min, args.n_max],
-        "counterexamples": _plain(hits),
-    }, _plain(hits)
+        "counterexamples": hits,
+    }, hits
 
 
 @_subcommand("hn", "the set H(n) of bounded-prime-power composites",
