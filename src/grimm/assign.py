@@ -25,7 +25,7 @@ import bisect
 import math
 import operator
 from dataclasses import dataclass
-from itertools import accumulate, chain, groupby
+from itertools import accumulate, chain
 
 from .arith import (
     FACTORIZATION_BOUND,
@@ -165,14 +165,16 @@ def _decide(row: CanonicalRow) -> RepresentationDecision:
     if empty is not None:
         # An index with no admissible prime blocks every matching: no
         # matching is run, and the verdict is recounted apart from the row.
-        x = w.m + empty
-        if any(0 < _vp_binomial(p, w.m, w.n) <= v for p, v in factorize(x).items()):
-            raise InternalContradiction(f"{x} has an admissible prime in {w}")
+        if _recounted(w, [empty]):
+            raise InternalContradiction(f"{w.m + empty} has an admissible prime in {w}")
         return _blocked(row, exps, empty)
     matching = max_matching(adj)
     if len(matching) < w.n:
-        matched = {i for i, _ in matching}
-        return _blocked(row, exps, min(set(adj) - matched))
+        unmatched = set(adj) - {i for i, _ in matching}
+        hall = _alternating_reach(adj, matching, unmatched)
+        if len(_recounted(w, hall)) >= len(hall):
+            raise InternalContradiction(f"short matching without a Hall violator at {w}")
+        return _blocked(row, exps, min(unmatched))
     factors = [1] * w.n
     taken = {p: i for i, p in matching}
     assignment = []
@@ -185,6 +187,30 @@ def _decide(row: CanonicalRow) -> RepresentationDecision:
     if not (cert.all_factors_nontrivial and verify_representation(cert)):
         raise InternalContradiction(f"saturating matching gave a bad certificate at {w}")
     return RepresentationDecision(window=w, feasible=True, certificate=cert, blocking=None)
+
+
+def _alternating_reach(adj: dict[int, list[int]], matching, unmatched: set[int]) -> set[int]:
+    """The indices that alternating paths reach from the unmatched ones: an
+    edge to an admissible prime, then that prime's matched edge back (the
+    König step).  For a maximum matching they form a Hall violator S, whose
+    admissible primes are all matched into S, fewer than |S|."""
+    owner = {p: i for i, p in matching}
+    reached = set(unmatched)
+    stack = list(unmatched)
+    while stack:
+        for p in adj[stack.pop()]:
+            i = owner.get(p)
+            if i is not None and i not in reached:
+                reached.add(i)
+                stack.append(i)
+    return reached
+
+
+def _recounted(w: Window, indices) -> set[int]:
+    """The admissible primes of the window's indices, recounted apart from
+    the row: from factorize(m + i) and the floor sums of v_p(C(m+n, n))."""
+    return {p for i in indices for p, v in factorize(w.m + i).items()
+            if 0 < _vp_binomial(p, w.m, w.n) <= v}
 
 
 def exact_representation_exists(w: Window) -> RepresentationDecision:
@@ -200,10 +226,7 @@ def exact_representation_exists(w: Window) -> RepresentationDecision:
     """
     if w.m < 1:
         raise ValueError("window base must be >= 1")
-    row = CanonicalRow(w.m)
-    for _ in range(w.n):
-        row.extend()
-    return _decide(row)
+    return _decide(CanonicalRow(w.m, w.n))
 
 
 @dataclass(frozen=True)
@@ -249,15 +272,29 @@ def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
     """(n, blocking evidence or None if feasible) for n = n_lo .. n_hi.
 
     tops[i-1] is L(m+i), the largest prime power dividing m+i (checked by
-    arith.largest_prime_power), or any value > n_hi where L(m+i) is: the scan
-    passes n_max + 1 for the elements outside H(n_max).  A window in which every
-    L(m+i) > n is feasible without a walk: the prime power p^v = L(m+i)
-    divides m+i exactly and is > n, so m+i is the window's only multiple
-    of p^v, v_p(C(m+n, n)) >= 1, and the canonical rule puts that prime's
-    power on m+i.  The rule is monotone in n, so it settles every n below
-    the row's first unsettled width n0.  From n0 on, the row's canonical
-    representations are grown one element at a time, and each window is
-    settled by the first of these that applies:
+    arith.largest_prime_power), or any value > n_hi where L(m+i) is.  A
+    window in which every L(m+i) > n is feasible without a walk: the prime
+    power p^v = L(m+i) divides m+i exactly and is > n, so m+i is the
+    window's only multiple of p^v, v_p(C(m+n, n)) >= 1, and the canonical
+    rule puts that prime's power on m+i.  The rule is monotone in n, so it
+    settles every n below the row's first open width n0; from n0 on the row
+    is walked (_walk).
+    """
+    n0 = next((n for n, low in enumerate(accumulate(tops, min), 1) if low <= n), n_hi + 1)
+    for n in range(n_lo, n0):
+        yield n, None
+    start = max(n_lo, n0)
+    if start <= n_hi:
+        yield from _walk(m, start, n_hi, {})
+
+
+def _walk(m: int, start: int, n_hi: int, known: dict[int, dict[int, int]]):
+    """(n, blocking evidence or None if feasible) for n = start .. n_hi.
+
+    The row's canonical representations start at width start - 1, built in
+    one pass, and grow one element at a time, reading and adding element
+    factorizations in known.  Each window is settled by the first of these
+    that applies:
 
       1. its canonical parts are all > 1: feasible once the certificate
          passes verify_representation;
@@ -266,17 +303,9 @@ def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
       3. _decide on the same row, which runs the matching unless an index
          has no admissible prime, and supplies the blocking evidence.
     """
-    n0 = next((n for n, low in enumerate(accumulate(tops, min), 1) if low <= n), n_hi + 1)
-    for n in range(n_lo, n0):
-        yield n, None
-    start = max(n_lo, n0)
-    if start > n_hi:
-        return
-    row = CanonicalRow(m)
-    for n in range(1, n_hi + 1):
+    row = CanonicalRow(m, start - 1, known)
+    for n in range(start, n_hi + 1):
         row.extend()
-        if n < start:
-            continue
         rep = row.representation()
         if rep.all_factors_nontrivial:
             if not verify_representation(rep):
@@ -365,8 +394,10 @@ def scan_counterexamples(
     Complete over m in m_range, n in n_range (inclusive bounds), ordered by
     (m, n).  The H(n) lemma leaves a window open only if it holds an x with
     L(x) <= n_max (L checked by largest_prime_power), a member of H(n_max)
-    or a prime <= n_max, so only the rows x - n_max <= m < x are decided,
-    each up to the next prime that band_primes finds for its run of rows.
+    or a prime <= n_max, so only the rows x - n_max <= m < x are listed.  A
+    listed row is walked only if its window of its first open width n0 holds
+    no prime, from max(n_min, n0) up to the next prime that band_primes finds
+    for its run of rows; the rows of a run share their element factorizations.
     A rectangle whose largest element, min(m_max, lcm(1..n_max)) + n_max, reaches
     FACTORIZATION_BOUND is refused before any row is decided.
     """
@@ -391,17 +422,38 @@ def scan_counterexamples(
             for x in chain(band_primes(2, n_hi + 1), members) if x > m_lo}
     if max(tops.values(), default=0) > n_hi:
         raise InternalContradiction(f"bad enumeration of H({n_hi}) up to {bound}")
-    rows = sorted({m for x in tops for m in range(max(m_lo, x - n_hi), min(m_hi, x - 1) + 1)})
+    # The listed x, cut where one lies more than n_hi past the one before:
+    # each run's rows x - n_hi <= m < x are consecutive.
+    runs: list[list[int]] = []
+    for x in sorted(tops):
+        if runs and x - runs[-1][-1] <= n_hi:
+            runs[-1].append(x)
+        else:
+            runs.append([x])
     out = []
-    for _, run in groupby(enumerate(rows), lambda pair: pair[1] - pair[0]):
-        block = [m for _, m in run]
-        lo, hi = block[0], block[-1] + n_hi + 1
-        primes = band_primes(lo + 1, hi)
-        column = [tops.get(x, n_hi + 1) for x in range(lo + 1, hi)]
-        for m in block:
-            k = bisect.bisect_right(primes, m)
-            width = min(n_hi, primes[k] - m - 1) if k < len(primes) else n_hi
-            for n, blocking in _decide_row(m, n_lo, width, column[m - lo : m - lo + width]):
-                if blocking is not None:
-                    out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
+    for xs in runs:
+        lo, end = max(m_lo, xs[0] - n_hi), xs[-1] + n_hi
+        # The run's primes, then end, where no window of the run reaches.
+        primes = band_primes(lo + 1, end) + [end]
+        # first[m], row m's first open width n0 (see _decide_row): the least
+        # max(x - m, L(x)) over its listed x.  Only rows whose window of that
+        # width holds no prime are kept: q <= m < p - L(x) for the primes
+        # q <= x < p next to x.
+        first: dict[int, int] = {}
+        for x in xs:
+            k = bisect.bisect_right(primes, x)
+            top = tops[x]
+            for m in range(max(lo, x - n_hi, primes[k - 1] if k else lo),
+                           min(m_hi, x - 1, primes[k] - top - 1) + 1):
+                n = x - m if x - m > top else top
+                if n < first.get(m, n_hi + 1):
+                    first[m] = n
+        known: dict[int, dict[int, int]] = {}  # the run's element factorizations
+        for m in sorted(first):
+            start = max(n_lo, first[m])
+            width = min(n_hi, primes[bisect.bisect_right(primes, m)] - m - 1)
+            if start <= width:
+                for n, blocking in _walk(m, start, width, known):
+                    if blocking is not None:
+                        out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
     return out

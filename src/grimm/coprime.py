@@ -29,6 +29,16 @@ from .smooth import in_hn
 _width_factors = functools.cache(factorize)
 
 
+@functools.cache
+def _factorial_exponents(k: int) -> tuple[tuple[int, int], ...]:
+    """(p, v_p(k!)) for every prime p <= k, from the widths' factorizations."""
+    total: dict[int, int] = {}
+    for j in range(2, k + 1):
+        for p, v in _width_factors(j).items():
+            total[p] = total.get(p, 0) + v
+    return tuple(total.items())
+
+
 @dataclass(frozen=True)
 class CoprimeRepresentation:
     """A tuple (a_1..a_n) for a window, with its prime-to-index assignment.
@@ -58,10 +68,15 @@ class CanonicalRow:
     largest valuation in the window and the smallest index attaining it,
     which is where the canonical rule puts the prime's power.
 
+    The row starts at width n, its first n elements taken in one pass that
+    subtracts the exponents of n! once.  Element factorizations are read
+    from, and added to, the dict known when one is given, so rows that
+    share it factor each element once.
+
     factors[i-1] is the ascending factorization of the element m+i.
     """
 
-    def __init__(self, m: int):
+    def __init__(self, m: int, n: int = 0, known: dict[int, dict[int, int]] | None = None):
         if m < 0:
             raise ValueError(f"window base must be >= 0, got m={m}")
         self.m = m
@@ -69,24 +84,37 @@ class CanonicalRow:
         self._exps: dict[int, int] = {}
         self._top: dict[int, int] = {}
         self._at: dict[int, int] = {}
+        self._known = {} if known is None else known
         self.factors: list[dict[int, int]] = []
+        self._grow(n)
+        # Every prime of n! is at most n, so it divides a window element
+        # and already has an entry.
+        for p, v in _factorial_exponents(n):
+            self._exps[p] -= v
+
+    def _grow(self, count: int) -> None:
+        """Append the next count elements and add their exponents, dividing
+        by no width."""
+        m, exps, top, at, known = self.m, self._exps, self._top, self._at, self._known
+        for n in range(self.n + 1, self.n + count + 1):
+            x = m + n
+            element = known.get(x)
+            if element is None:
+                element = known[x] = factorize(x)
+            self.factors.append(element)
+            for p, v in element.items():
+                exps[p] = exps.get(p, 0) + v
+                if v > top.get(p, 0):
+                    top[p] = v
+                    at[p] = n
+        self.n += count
 
     def extend(self) -> None:
         """Grow the window by its next element m+n+1."""
-        n = self.n + 1
-        exps, top = self._exps, self._top
-        element = factorize(self.m + n)
-        self.factors.append(element)
-        for p, v in element.items():
-            exps[p] = exps.get(p, 0) + v
-            if v > top.get(p, 0):
-                top[p] = v
-                self._at[p] = n
-        # Every prime of n is at most n, so it divides a window element
-        # and already has an entry.
-        for p, v in _width_factors(n).items():
-            exps[p] -= v
-        self.n = n
+        self._grow(1)
+        # Every prime of n is at most n, so it has an entry.
+        for p, v in _width_factors(self.n).items():
+            self._exps[p] -= v
 
     def exponents(self) -> dict[int, int]:
         """{p: v_p(C(m+n, n))} for every prime dividing the coefficient,
@@ -119,10 +147,7 @@ def construct_representation(w: Window) -> CoprimeRepresentation:
     Total for every window (degenerate ones included); factors equal to 1
     are allowed here.
     """
-    row = CanonicalRow(w.m)
-    for _ in range(w.n):
-        row.extend()
-    return row.representation()
+    return CanonicalRow(w.m, w.n).representation()
 
 
 def representation_from_factors(w: Window, factors) -> CoprimeRepresentation:

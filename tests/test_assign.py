@@ -8,6 +8,7 @@ import pytest
 
 import grimm.arith
 import grimm.assign
+import grimm.coprime
 from grimm.arith import Window, default_sieve, representation_threshold
 from grimm.assign import (
     exact_representation_exists,
@@ -430,3 +431,45 @@ def test_moved_windows_are_feasible(monkeypatch):
     assert len(moved) > 100
     for w in moved:
         assert exact_representation_exists(w).feasible, w
+
+
+def test_census_factors_each_element_once_per_run(monkeypatch):
+    # The n <= 16 Conjecture 1 census: the rows of one run share one dict of
+    # element factorizations, so the walk factors each element at most once
+    # per run.  _decide's recounts call factorize apart from the walk.
+    runs, factored = [], []
+    walk = grimm.assign._walk
+
+    def walking(m, start, n_hi, known):
+        if not runs or runs[-1] is not known:
+            runs.append(known)
+        return walk(m, start, n_hi, known)
+
+    factorize = grimm.coprime.factorize
+
+    def factoring(x):
+        factored.append((len(runs), x))
+        return factorize(x)
+
+    monkeypatch.setattr(grimm.assign, "_walk", walking)
+    monkeypatch.setattr(grimm.coprime, "factorize", factoring)
+    assert len(scan_counterexamples((1, 720720), (1, 16))) == 108
+    assert len(runs) > 10
+    assert len(set(factored)) == len(factored)
+    assert len(factored) == sum(map(len, runs))
+
+
+@pytest.mark.parametrize("corrupted", [{2: 3, 3: 1, 5: 2}, {2: 3, 3: 1, 5: 1, 7: 1}],
+                         ids=["extra_power", "extra_prime"])
+def test_scan_checks_the_runs_shared_factorizations(monkeypatch, corrupted):
+    # 120 = 2^3 * 3 * 5, misread in the dict its run shares, is caught by the
+    # certificate checks of the first window that holds it.
+    walk = grimm.assign._walk
+
+    def walking(m, start, n_hi, known):
+        known.setdefault(120, corrupted)
+        return walk(m, start, n_hi, known)
+
+    monkeypatch.setattr(grimm.assign, "_walk", walking)
+    with pytest.raises(InternalContradiction, match="certificate fails at Window.m=113, n=8"):
+        scan_counterexamples((1, 200), (1, 12))

@@ -501,6 +501,29 @@ def test_broken_move_exits_3(monkeypatch, tmp_path, old, new):
     assert "after one move per part of 1" in error["message"]
 
 
+# Subcommands whose decisions reach max_matching with a saturating matching.
+MATCHED_DECISIONS = {
+    "scan": ["scan", "--m-max", "3000", "--n-max", "20"],
+    "w": ["w", "--m", "1000000", "--cap", "600"],
+    "factorize": ["factorize", "--m", "1000", "--n", "5"],
+}
+
+
+@pytest.mark.parametrize("argv", MATCHED_DECISIONS.values(), ids=list(MATCHED_DECISIONS))
+def test_matcher_that_drops_its_last_pair_exits_3(monkeypatch, capsys, argv):
+    # Every short matching must come with a Hall violator, recounted apart
+    # from the row; one pair dropped from a saturating matching leaves none.
+    matching = grimm.assign.max_matching
+    monkeypatch.setattr(grimm.assign, "max_matching", lambda adj: matching(adj)[:-1])
+    assert run(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    (line,) = captured.err.splitlines()
+    error = json.loads(line)
+    assert error["error"] == "InternalContradiction"
+    assert error["message"].startswith("short matching without a Hall violator")
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_reports_render_integers_past_the_digit_limit(fmt):
     big = 10**5000
