@@ -189,7 +189,9 @@ def _decide(row: CanonicalRow) -> RepresentationDecision:
     return RepresentationDecision(window=w, feasible=True, certificate=cert, blocking=None)
 
 
-def _alternating_reach(adj: dict[int, list[int]], matching, unmatched: set[int]) -> set[int]:
+def _alternating_reach(
+    adj: dict[int, list[int]], matching: list[tuple[int, int]], unmatched: set[int]
+) -> set[int]:
     """The indices that alternating paths reach from the unmatched ones: an
     edge to an admissible prime, then that prime's matched edge back (the
     König step).  For a maximum matching they form a Hall violator S, whose
