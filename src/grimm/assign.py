@@ -270,26 +270,6 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap)
 
 
-def _decide_row(m: int, n_lo: int, n_hi: int, tops: list[int]):
-    """(n, blocking evidence or None if feasible) for n = n_lo .. n_hi.
-
-    tops[i-1] is L(m+i), the largest prime power dividing m+i (checked by
-    arith.largest_prime_power), or any value > n_hi where L(m+i) is.  A
-    window in which every L(m+i) > n is feasible without a walk: the prime
-    power p^v = L(m+i) divides m+i exactly and is > n, so m+i is the
-    window's only multiple of p^v, v_p(C(m+n, n)) >= 1, and the canonical
-    rule puts that prime's power on m+i.  The rule is monotone in n, so it
-    settles every n below the row's first open width n0; from n0 on the row
-    is walked (_walk).
-    """
-    n0 = next((n for n, low in enumerate(accumulate(tops, min), 1) if low <= n), n_hi + 1)
-    for n in range(n_lo, n0):
-        yield n, None
-    start = max(n_lo, n0)
-    if start <= n_hi:
-        yield from _walk(m, start, n_hi, {})
-
-
 def _walk(m: int, start: int, n_hi: int, known: dict[int, dict[int, int]]):
     """(n, blocking evidence or None if feasible) for n = start .. n_hi.
 
@@ -367,14 +347,24 @@ def w_of_m(m: int, cap: int) -> LargestN:
 
     Unlike the distinct-prime case, failure is not known to persist as n
     grows, so every n gets its own decision (no early exit); the cap is
-    bounded to keep one call's runtime sane.
+    bounded to keep one call's runtime sane.  Every width n below the row's
+    first open width n0, the least max(i, L(m+i)), is feasible by the H(n)
+    lemma: each m+i then carries a prime power L(m+i) > n (checked by
+    arith.largest_prime_power), which divides no other element, so its
+    canonical part is > 1.  L(m+i) is read only while i is below the least
+    value found so far; from n0 on the row is walked (_walk), as in
+    scan_counterexamples.
     """
     if m < 1 or cap < 1:
         raise ValueError("need m >= 1 and cap >= 1")
     if cap > W_CAP_GUARD:
         raise ValueError(f"cap {cap} beyond the runtime guard W_CAP_GUARD = {W_CAP_GUARD}")
-    tops = [pow(*largest_prime_power(x)) for x in range(m + 1, m + cap + 1)]
-    bitmap = tuple(blocking is None for _, blocking in _decide_row(m, 1, cap, tops))
+    n0, i = cap + 1, 1
+    while i < n0:
+        n0 = min(n0, max(i, pow(*largest_prime_power(m + i))))
+        i += 1
+    walked = _walk(m, n0, cap, {}) if n0 <= cap else ()
+    bitmap = (True,) * (n0 - 1) + tuple(blocking is None for _, blocking in walked)
     value = max((n for n in range(1, cap + 1) if bitmap[n - 1]), default=0)
     return LargestN(m=m, cap=cap, value=value, cap_hit=value == cap, feasible=bitmap)
 
@@ -437,7 +427,7 @@ def scan_counterexamples(
         lo, end = max(m_lo, xs[0] - n_hi), xs[-1] + n_hi
         # The run's primes, then end, where no window of the run reaches.
         primes = band_primes(lo + 1, end) + [end]
-        # first[m], row m's first open width n0 (see _decide_row): the least
+        # first[m], row m's first open width n0 (as in w_of_m): the least
         # max(x - m, L(x)) over its listed x.  Only rows whose window of that
         # width holds no prime are kept: q <= m < p - L(x) for the primes
         # q <= x < p next to x.

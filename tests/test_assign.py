@@ -357,6 +357,29 @@ def test_w_matches_per_window_decisions():
         assert w_of_m(m, cap).feasible == expected, m
 
 
+def test_w_matches_a_walk_of_every_width():
+    # The H(n) lemma settles every width below n0 exactly as the row walk
+    # does; 10**12 + 1 .. 10**12 + 60 hold a prime power > 60 each, so
+    # n0 > cap there and nothing is walked.
+    rng = random.Random(30)
+    rows = [(10**12, 60), (1, 2)] + [
+        (rng.randrange(1, 10**rng.randrange(2, 10)), rng.randrange(1, 50)) for _ in range(40)
+    ]
+    for m, cap in rows:
+        walked = tuple(blocking is None for _, blocking in grimm.assign._walk(m, 1, cap, {}))
+        assert w_of_m(m, cap).feasible == walked, (m, cap)
+
+
+def test_w_reads_prime_powers_only_below_its_first_open_width(monkeypatch):
+    # n0 = 43 for m = 10**6: L(m + i) is read for i = 1 .. 42 only, not for
+    # every index up to the cap.
+    calls = []
+    real = grimm.assign.largest_prime_power
+    monkeypatch.setattr(grimm.assign, "largest_prime_power", lambda x: calls.append(x) or real(x))
+    assert w_of_m(10**6, 600).value == 132
+    assert len(calls) <= 42
+
+
 def test_decision_checks_row_exponents(monkeypatch):
     # v_p(C(m+n, n)) never exceeds the window's largest v_p, so an exponent
     # that does leaves its prime with no admissible index: a defect.
@@ -415,13 +438,17 @@ def test_scan_moves_before_it_matches(monkeypatch):
     # The README rectangle: 688 windows settled by their canonical
     # certificates, 771 by one move, 182 by _decide, of which 7 need a
     # matching (6 feasible) and 175 have an index with no admissible prime.
+    # So every finding has a Hall violator of at most two indices: the empty
+    # index alone, or the two that the one short matching reaches.
     matchings = recorded(monkeypatch, "max_matching")
     checks = recorded(monkeypatch, "verify_representation")
     moves = recorded(monkeypatch, "_one_move")
     decisions = recorded(monkeypatch, "_decide")
+    violators = recorded(monkeypatch, "_alternating_reach")
     assert len(scan_counterexamples((1, 20000), (1, 20))) == 176
     assert (len(moves), len(decisions), len(matchings)) == (953, 182, 7)
     assert len(checks) == 688 + 771 + 6
+    assert violators == [{7, 10}]
 
 
 def test_moved_windows_are_feasible(monkeypatch):

@@ -5,7 +5,7 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from grimm.arith import Window, is_prime, largest_prime_power
-from grimm.assign import Counterexample, _decide_row, scan_counterexamples
+from grimm.assign import Counterexample, _walk, scan_counterexamples
 from grimm.coprime import CanonicalRow, construct_representation, verify_representation
 from grimm.smooth import in_hn
 from oracles import naive_factorize, naive_is_prime
@@ -53,8 +53,10 @@ def walk_every_row(m_lo, m_hi, n_hi):
         run = 0  # the composites m+1, m+2, ... in a row, at most n_hi
         while run < n_hi and composite[m + run + 1]:
             run += 1
+        # the first open width: the least max(i, L(m + i)) over the run
         k = m - m_lo
-        for n, blocking in _decide_row(m, 1, run, tops[k : k + run]):
+        n0 = min((max(i, top) for i, top in enumerate(tops[k : k + run], 1)), default=1)
+        for n, blocking in _walk(m, n0, run, {}) if n0 <= run else ():
             if blocking is not None:
                 out.append(Counterexample(m=m, n=n, blocking_value=blocking.value))
     return out
