@@ -100,15 +100,39 @@ def _settle_grimm(w: Window, tops: list[int]) -> GrimmAssignment | int:
     consecutive integers, so an element whose largest prime factor is >= n
     takes that prime.  Only the n-smooth rest is walked for its primes, all
     below n; each gets one augmenting search in index order, and the first
-    that fails is the stuck index.  The assignment is then checked
-    (_checked_assignment).
+    that fails is the stuck index once a Hall violator confirms it
+    (_hall_checked).  The assignment is then checked (_checked_assignment).
     """
     residual = {i: prime_divisors(w.m + i) for i, top in enumerate(tops, 1) if top < w.n}
     pair_r: dict[int, int] = {}
     for i in residual:
         if not augment(residual, pair_r, i):
-            return i
+            return _hall_checked(w.m, residual, pair_r, i)
     return _checked_assignment(w, list(tops), pair_r)
+
+
+def _hall_checked(m: int, adj: dict[int, list[int]], pair_r: dict[int, int], i: int) -> int:
+    """i, the index where augment failed, once a Hall violator confirms it.
+
+    S is the set of indices that alternating paths reach from i, and C the
+    union of their listed primes.  Each m + j of S must divide out to 1 by
+    its own listed primes, so C holds every prime of S's elements; C must
+    be all prime and smaller than S.  Then no distinct primes exist for S,
+    whatever the matcher did.
+    """
+    hall = _alternating_reach(adj, [(j, p) for p, j in pair_r.items()], {i})
+    primes = sorted({p for j in hall for p in adj[j]})
+    # all_prime refuses entries below 2, so each division below ends.
+    if not (len(primes) < len(hall) and all_prime(primes)):
+        raise InternalContradiction(f"failed augment without a Hall violator at {m + i}")
+    for j in hall:
+        x = m + j
+        for p in adj[j]:
+            while x % p == 0:
+                x //= p
+        if x != 1:
+            raise InternalContradiction(f"{m + j} has a prime not in {adj[j]}")
+    return i
 
 
 def _checked_assignment(w: Window, primes: list[int], pair_r: dict[int, int]) -> GrimmAssignment:
@@ -246,10 +270,11 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
     """Largest n <= cap admitting a distinct-prime assignment.
 
     A failed window stays failed when extended (its deficient index set
-    persists), so the scan stops at the first failure; the matching is
-    grown one index at a time, and the last one is checked as an assignment
-    (_checked_assignment).  cap defaults to 2m and may not exceed it, the
-    window there containing two powers of 2.
+    persists), so the scan stops at the first failure, once a Hall violator
+    confirms it (_hall_checked); the matching is grown one index at a time,
+    and the last one is checked as an assignment (_checked_assignment).
+    cap defaults to 2m and may not exceed it, the window there containing
+    two powers of 2.
     """
     if m < 1:
         raise ValueError("m must be >= 1")
@@ -263,6 +288,7 @@ def g_of_m(m: int, cap: int | None = None) -> LargestN:
     for n in range(1, cap + 1):
         adj[n] = prime_divisors(m + n)
         if not augment(adj, pair_r, n):
+            _hall_checked(m, adj, pair_r, n)
             break
         value = n
     # value 0 is no answer (m + 1 >= 2 has a prime), and fails as a window of one 1.

@@ -524,6 +524,51 @@ def test_matcher_that_drops_its_last_pair_exits_3(monkeypatch, capsys, argv):
     assert error["message"].startswith("short matching without a Hall violator")
 
 
+# Loaded at start-up like CORRUPTING_SITECUSTOMIZE: an augment that fails at
+# every index, or once at the given index, where the intact one succeeds.
+FAILING_AUGMENT_SITECUSTOMIZE = """
+import grimm.assign
+
+_real = grimm.assign.augment
+_failed = set()
+
+def _failing(adj, pair_r, start):
+    if {index!r} in (None, start) and start not in _failed:
+        _failed.add(start)
+        return False
+    return _real(adj, pair_r, start)
+
+grimm.assign.augment = _failing
+"""
+
+# (failing index, argv, exit status of the intact run)
+FAILING_AUGMENTS = {
+    # the intact run reports g(1000) = 39; the mutant would stop at 19
+    "g_once_at_20": (20, ["g", "--m", "1000"], EXIT_OK),
+    # the intact run finds no failure; the mutant would list runs as failures
+    "verify_always": (None, ["verify", "--limit", "100000"], EXIT_OK),
+}
+
+
+@pytest.mark.parametrize("index, argv, intact", FAILING_AUGMENTS.values(),
+                         ids=list(FAILING_AUGMENTS))
+def test_failed_augment_without_a_hall_violator_exits_3(tmp_path, index, argv, intact):
+    # Every "no" of the augmenting walks must come with a Hall violator.
+    site = FAILING_AUGMENT_SITECUSTOMIZE.format(index=index)
+    (tmp_path / "sitecustomize.py").write_text(site)
+    argv = [sys.executable, "-m", "grimm", *argv, "--format", "json"]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(SRC), str(tmp_path)]))
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == EXIT_INTERNAL, done.stdout[-300:]
+    assert done.stdout == ""
+    error = json.loads(done.stderr)
+    assert error["error"] == "InternalContradiction"
+    assert error["message"].startswith("failed augment without a Hall violator")
+    env["PYTHONPATH"] = str(SRC)
+    done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
+    assert done.returncode == intact, done.stderr
+
+
 @pytest.mark.parametrize("fmt", ["json", "csv", "text"])
 def test_reports_render_integers_past_the_digit_limit(fmt):
     big = 10**5000
