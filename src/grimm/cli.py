@@ -114,8 +114,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _plain(obj):
+    """obj as JSON-ready dicts, lists and scalars, in one walk: a dataclass
+    becomes a dict of its fields, and a tuple a list."""
     if dataclasses.is_dataclass(obj):
-        return {k: _plain(v) for k, v in dataclasses.asdict(obj).items()}
+        return {f.name: _plain(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     if isinstance(obj, dict):
         return {k: _plain(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -133,15 +135,16 @@ def _rows(key: str, cols: tuple[str, ...]):
              csv=_rows("failures", ("m", "n", "reason")))
 def _verify(args):
     report = verify_grimm_range(args.limit, args.min_len, args.workers)
+    failures = _plain(report.failures)
     payload = {
         "range_limit": report.range_limit,
         "windows_checked": report.windows_checked,
         "worker_count": report.worker_count,
-        "failures": _plain(report.failures),
+        "failures": failures,
     }
     if args.timings:
         payload["elapsed_seconds"] = report.elapsed
-    return payload, _plain(report.failures)
+    return payload, failures
 
 
 @_subcommand("runs", "maximal composite runs within a limit",
@@ -258,9 +261,10 @@ def _verify_small(args):
              _int("--m", required=True), _int("--n", required=True))
 def _conjecture1(args):
     decision = conjecture1_probe(Window(args.m, args.n))
-    findings = [] if decision.feasible else [_plain(decision.blocking)]
+    blocking = _plain(decision.blocking)
+    findings = [] if decision.feasible else [blocking]
     return {"m": args.m, "n": args.n, "holds": decision.feasible,
-            "blocking": _plain(decision.blocking)}, findings
+            "blocking": blocking}, findings
 
 
 @_subcommand("conjecture2", "prime-presence probes near block divisors",
@@ -294,10 +298,11 @@ def _conjecture2(args):
              csv=_rows("records", ("n", "q", "d", "lhs", "rhs", "holds")))
 def _cramer_gap(args):
     records, least = cramer_gap_scan(args.n_min, args.n_max)
-    findings = [_plain(r) for r in records if r.holds is False]
+    records = _plain(records)
+    findings = [r for r in records if r["holds"] is False]
     return {
         "n_range": [args.n_min, args.n_max],
-        "records": _plain(records),
+        "records": records,
         "least_n_holding_onward": least,
     }, findings
 
