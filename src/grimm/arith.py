@@ -153,9 +153,8 @@ _sieve: PrimeSieve | None = None
 
 
 def default_sieve(min_limit: int = DEFAULT_SIEVE_LIMIT) -> PrimeSieve:
-    """The shared sieve; only verify_grimm_range and verify_small_windows grow
-    it.  Construction is single-threaded; callers that fork workers should
-    build it once first."""
+    """The shared sieve; only verify_grimm_range grows it.  Construction is
+    single-threaded; callers that fork workers should build it once first."""
     global _sieve
     if _sieve is None or _sieve.limit < min_limit:
         _sieve = PrimeSieve(max(min_limit, DEFAULT_SIEVE_LIMIT))

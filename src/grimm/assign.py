@@ -404,6 +404,18 @@ class Counterexample:
     blocking_value: int
 
 
+def _listed(n: int, lo: int, bound: int) -> dict[int, int]:
+    """{x: L(x)} for lo < x <= bound in H(n), or prime and <= n: the x that
+    the H(n) lemma leaves open at width n, with L(x) <= n checked by
+    largest_prime_power; an x that fails it raises InternalContradiction."""
+    members = chain.from_iterable(hn_segments(n, bound))
+    tops = {x: pow(*largest_prime_power(x))
+            for x in chain(band_primes(2, n + 1), members) if x > lo}
+    if max(tops.values(), default=0) > n:
+        raise InternalContradiction(f"bad enumeration of H({n}) up to {bound}")
+    return tops
+
+
 def scan_counterexamples(
     m_range: tuple[int, int], n_range: tuple[int, int]
 ) -> list[Counterexample]:
@@ -412,10 +424,11 @@ def scan_counterexamples(
     Complete over m in m_range, n in n_range (inclusive bounds), ordered by
     (m, n).  The H(n) lemma leaves a window open only if it holds an x with
     L(x) <= n_max (L checked by largest_prime_power), a member of H(n_max)
-    or a prime <= n_max, so only the rows x - n_max <= m < x are listed.  A
-    listed row is walked only if its window of its first open width n0 holds
-    no prime, from max(n_min, n0) up to the next prime that band_primes finds
-    for its run of rows; the rows of a run share their element factorizations.
+    or a prime <= n_max, so only the rows x - n_max <= m < x of these x
+    (_listed) are looked at.  Such a row is walked only if its window of its
+    first open width n0 holds no prime, from max(n_min, n0) up to the next
+    prime that band_primes finds for its run of rows; the rows of a run
+    share their element factorizations.
     A rectangle whose largest element, min(m_max, lcm(1..n_max)) + n_max, reaches
     FACTORIZATION_BOUND is refused before any row is decided.
     """
@@ -435,11 +448,7 @@ def scan_counterexamples(
     lcm = lcm or math.lcm(*range(1, n_hi + 1))
     if min(m_hi, lcm) + n_hi >= FACTORIZATION_BOUND:
         raise ValueError(f"scan elements reach FACTORIZATION_BOUND = {FACTORIZATION_BOUND}")
-    members = list(chain.from_iterable(hn_segments(n_hi, bound)))
-    tops = {x: pow(*largest_prime_power(x))
-            for x in chain(band_primes(2, n_hi + 1), members) if x > m_lo}
-    if max(tops.values(), default=0) > n_hi:
-        raise InternalContradiction(f"bad enumeration of H({n_hi}) up to {bound}")
+    tops = _listed(n_hi, m_lo, bound)
     # The listed x, cut where one lies more than n_hi past the one before:
     # each run's rows x - n_hi <= m < x are consecutive.
     runs: list[list[int]] = []

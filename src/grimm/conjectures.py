@@ -21,6 +21,7 @@ reach of even squared-log prime gaps.
 
 from __future__ import annotations
 
+import bisect
 import functools
 import itertools
 import math
@@ -35,17 +36,16 @@ from .arith import (
     Window,
     _check_sieve_limit,
     _product,
-    _vp_binomial,
     band_primes,
     default_sieve,
     first_prime,
     is_prime,
     largest_prime_factors,
-    largest_prime_power,
 )
 from .assign import (
     RepresentationDecision,
     _check_column,
+    _listed,
     _settle_grimm,
     exact_representation_exists,
     scan_counterexamples,
@@ -206,11 +206,10 @@ class SmallWindowReport:
     Every all-composite window with 2 <= n <= max_n and m <= m_max must
     admit the full representation.  The failures are decided by
     scan_counterexamples.  A width-max_n window whose elements all avoid
-    H(max_n) has it by the threshold argument: each element's L(x) > max_n
-    is checked by largest_prime_power (_witness), and its prime, the
-    witness, by floor sums (_checked_witness).  The width-max_n
-    windows that meet H(max_n) are listed with their members
-    (`fallback_windows`), and scan decides them.
+    H(max_n) has it by the threshold argument: each element, composite,
+    then carries a prime power L(x) > max_n.  The width-max_n windows that
+    meet H(max_n) are listed with their members (`fallback_windows`), as
+    the scan lists them, and scan decides them.
     """
 
     m_max: int
@@ -230,46 +229,24 @@ def _windows_in_run(k: int, max_n: int) -> int:
     return (t - 1) * (2 * k - t) // 2
 
 
-def _witness(x: int, n: int) -> tuple[int, int] | None:
-    """(p, v) with p^v = L(x) checked by largest_prime_power, if L(x) > n;
-    None for x in H(n), a prime <= n, or x < 2.  No window enters, so a walk
-    finds it once per element."""
-    p, v = largest_prime_power(x) if x >= 2 else (1, 0)
-    return (p, v) if p**v > n else None
-
-
-def _checked_witness(w: Window, x: int, found: tuple[int, int] | None) -> int | None:
-    """The prime p of found = _witness(x, w.n), once its exponent in
-    C(m+n, n) is checked by floor sums to lie in [1, v_p(x)].
-
-    Since p^v_p(x) > n, x is the window's unique valuation maximum at p,
-    which pins that exponent there; a value outside it raises
-    InternalContradiction.
-    """
-    if found is None:
-        return None
-    p, v = found
-    e = _vp_binomial(p, w.m, w.n)
-    if not 1 <= e <= v:
-        raise InternalContradiction(
-            f"witness {p} at {x}: coefficient valuation {e} outside [1, {v}]")
-    return p
-
-
 def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
     """The failures are those of scan_counterexamples on m <= m_max, 2 <= n <= max_n.
 
     One pass over verify's gaps of k = q - p - 1 composites between primes
     p < q, p <= m_max (q <= 2 * m_max by Bertrand): the rows m = p .. q - 1 have
     the q - m - 1 composites p + 1 .. q - 1 ahead of them, so the gap is
-    counted in closed form, and only its full-width windows are visited.
-    Every element factored here and in the scan is at most m_max + max_n,
-    so the shared sieve is grown past it: each factorization is then table
-    lookups, not trial division and rho.
+    counted in closed form.  Every element of a gap is composite, so the
+    members of H(max_n) in a gap row's full-width window are its listed x
+    (assign._listed, the scan's checked listing up to m_max + max_n), taken
+    once and bisected per gap.  Only those x are factored, and the shared
+    sieve is not grown; a range whose sieve would pass SIEVE_GUARD is still
+    refused before any work.  Bertrand leaves no full-width window when
+    max_n > m_max, and hn_segments refuses max_n < 2, so neither lists.
     """
     if m_max < 1 or max_n < 1:
         raise ValueError(f"need m_max >= 1 and max_n >= 1, got m_max={m_max}, max_n={max_n}")
-    default_sieve(m_max + max_n + 1)
+    _check_sieve_limit(m_max + max_n + 1)
+    listed = sorted(_listed(max_n, 1, m_max + max_n)) if 2 <= max_n <= m_max else []
     checked = 0
     fallback = []
     gaps = (gap for block in _gap_blocks(m_max, 1) for gap in _block_gaps(*block, 2 * m_max + 2, 1))
@@ -278,12 +255,13 @@ def verify_small_windows(m_max: int = 420, max_n: int = 7) -> SmallWindowReport:
         # those lie within its last p + k - m_max - 1 composites.
         checked += _windows_in_run(k, max_n) - _windows_in_run(p + k - m_max - 1, max_n)
         top = min(p + k - max_n, m_max)
-        found = {x: _witness(x, max_n) for x in range(p + 1, top + max_n + 1)} if top >= p else {}
-        for m in range(p, top + 1):
-            w = Window(m, max_n)
-            inside = tuple(x for x in w.values() if _checked_witness(w, x, found[x]) is None)
-            if inside:
-                fallback.append((m, inside))
+        rows: dict[int, list[int]] = {}
+        # x ascends, and so do the ends of its rows m = x - max_n .. x - 1:
+        # rows enter the dict in ascending order, each with its x ascending.
+        for x in listed[bisect.bisect_right(listed, p) : bisect.bisect_right(listed, top + max_n)]:
+            for m in range(max(p, x - max_n), min(top, x - 1) + 1):
+                rows.setdefault(m, []).append(x)
+        fallback.extend((m, tuple(xs)) for m, xs in rows.items())
     return SmallWindowReport(
         m_max=m_max,
         max_n=max_n,

@@ -7,6 +7,7 @@ import subprocess
 import sys
 import textwrap
 import tracemalloc
+from itertools import chain
 from pathlib import Path
 
 import pytest
@@ -14,11 +15,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import grimm.arith
+import grimm.assign
 import grimm.cli
-import grimm.conjectures
 import grimm.smooth
 from grimm.cli import EXIT_ERROR, EXIT_FINDINGS, EXIT_INTERNAL, EXIT_OK, run
-from grimm.coprime import InternalContradiction
+from grimm.coprime import CanonicalRow, InternalContradiction
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 
@@ -394,10 +395,12 @@ def test_crash_is_internal_error_not_findings(monkeypatch, capsys, exc):
     assert error["where"].endswith("in crash")
 
 
-def _zero_valuation_at_1327(monkeypatch):
-    vp_binomial = grimm.conjectures._vp_binomial
+def _unit_valuation_at_118(monkeypatch):
+    # the floor sums that recount a blocked index: read as 1 for every prime
+    # at m = 118, they make 2 admissible at 120 in 119 .. 126
+    vp_binomial = grimm.assign._vp_binomial
     monkeypatch.setattr(
-        grimm.conjectures, "_vp_binomial", lambda p, m, n: 0 if m == 1327 else vp_binomial(p, m, n)
+        grimm.assign, "_vp_binomial", lambda p, m, n: 1 if m == 118 else vp_binomial(p, m, n)
     )
 
 
@@ -412,12 +415,12 @@ def _over_reported_exponent_at_840(monkeypatch):
 
 
 @pytest.mark.parametrize("mutate, message", [
-    # the witness is the prime of L(1328) = 83, not the first prime 2 with 2^4 > 12
-    (_zero_valuation_at_1327, "witness 83 at 1328: coefficient valuation 0 outside [1, 1]"),
+    (_unit_valuation_at_118, "120 has an admissible prime in Window(m=118, n=8)"),
     (_over_reported_exponent_at_840, "2^4 is not a prime power exactly dividing 840"),
-], ids=["zero_valuation_at_1327", "over_reported_exponent_at_840"])
+], ids=["unit_valuation_at_118", "over_reported_exponent_at_840"])
 def test_verify_small_witness_check_exits_3(monkeypatch, capsys, mutate, message):
-    # every width-12 window without an H(12) member has a checked witness per element
+    # the listed members of H(12) carry a checked L(x), and every blocked
+    # window a recounted blocking index
     mutate(monkeypatch)
     code = run(["verify-small", "--m-max", "2000", "--max-n", "12"])
     captured = capsys.readouterr()
@@ -426,6 +429,24 @@ def test_verify_small_witness_check_exits_3(monkeypatch, capsys, mutate, message
     (line,) = captured.err.splitlines()
     error = json.loads(line)
     assert (error["error"], error["message"]) == ("InternalContradiction", message)
+
+
+@pytest.mark.parametrize("argv", [
+    ["scan", "--m-max", "2000", "--n-max", "12"],
+    ["verify-small", "--m-max", "2000", "--max-n", "12"],
+], ids=["scan", "verify-small"])
+def test_bad_hn_listing_exits_3(monkeypatch, capsys, argv):
+    # 34 = 2 * 17 is listed as a member of H(12), but L(34) = 17 > 12.
+    segments = grimm.assign.hn_segments
+    monkeypatch.setattr(
+        grimm.assign, "hn_segments", lambda n, bound: chain([[34]], segments(n, bound))
+    )
+    assert run(argv) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert (error["error"], error["message"]) == (
+        "InternalContradiction", "bad enumeration of H(12) up to 2012")
 
 
 # Loaded by the interpreter at start-up (the directory is on PYTHONPATH):
@@ -460,6 +481,20 @@ def test_module_entry_exits_3_on_a_corrupted_certificate(tmp_path):
     done = subprocess.run(argv, env=env, capture_output=True, text=True, timeout=120)
     assert done.returncode == EXIT_FINDINGS, done.stderr
     assert "blocking_value" in done.stdout
+
+
+def test_factorize_exits_3_when_its_construction_fails(monkeypatch, capsys):
+    assert run(["factorize", "--m", "104", "--n", "7"]) == EXIT_OK
+    assert '"verified": true' in capsys.readouterr().out
+    # Registered first, so that the corruption below is undone after the test.
+    monkeypatch.setattr(CanonicalRow, "representation", CanonicalRow.representation)
+    exec(textwrap.dedent(CORRUPTING_SITECUSTOMIZE), {})
+    assert run(["factorize", "--m", "104", "--n", "7"]) == EXIT_INTERNAL
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    error = json.loads(captured.err)
+    assert (error["error"], error["message"]) == (
+        "InternalContradiction", "canonical certificate fails at Window(m=104, n=7)")
 
 
 # Mutants of the one-move repair: (text of assign._one_move, its replacement).

@@ -188,7 +188,7 @@ def test_parsed_arguments(argv, own):
     (("conjecture2", "--part", "i", "--n-min", str(10**9), "--n-max", str(10**9)), "SIEVE_GUARD"),
     (("conjecture2", "--part", "ii", "--n-min", "100000001", "--n-max", "100000001"), "SIEVE_GUARD"),
     # runs and hn --count-only are refused by the guards on the primes they read,
-    # verify-small by growing the sieve to m_max + max_n + 1.
+    # verify-small by its check of m_max + max_n + 1, made before any work.
     (("runs", "--limit", "100000001"),
      "sieve limit 100000001 exceeds SIEVE_GUARD = 100000000"),
     (("verify-small", "--m-max", "99999993", "--max-n", "7"),
@@ -222,7 +222,7 @@ def test_guard_errors_name_their_guard(capsys, argv, guard):
 
 
 # sha256 of `verify-small --m-max 200000 --max-n 12 --format json`, recorded
-# from the walk over a sieve grown to m_max + max_n + 1.
+# from the per-element witness walk over a sieve grown to m_max + max_n + 1.
 VERIFY_SMALL_200000_12_SHA = "cd6a10ad1cbbde8ff157686fee18533818159176835a3ab86f220864fd3162d8"
 
 

@@ -435,23 +435,19 @@ SMALL_WINDOW_PINS = {
         (139, (140,)), (201, (210,)), (621, (630,)), (839, (840,)), (1259, (1260,)),
         (2511, (2520,)),
     ]),
+    # elements up to 1,100,007, past the default sieve
+    (1100000, 7): (4486920, [(139, (140,)), (203, (210,))]),
 }
 
 
 @pytest.mark.parametrize("m_max, max_n", sorted(SMALL_WINDOW_PINS))
-def test_small_windows_find_each_witness_once(monkeypatch, m_max, max_n):
-    # One witness search (one factorize) per element of a full-width
-    # window, however many of those windows hold it.
-    searched = []
-    witness = grimm.conjectures._witness
-    monkeypatch.setattr(grimm.conjectures, "_witness",
-                        lambda x, n: searched.append(x) or witness(x, n))
+def test_small_windows_find_each_witness_once(m_max, max_n):
+    # The windows are read off the scan's listing of H(max_n): no element
+    # is searched for a witness, and the shared sieve is left as it was.
+    sieve = grimm.arith.default_sieve()
     report = verify_small_windows(m_max, max_n)
     assert (report.windows_checked, report.fallback_windows) == SMALL_WINDOW_PINS[m_max, max_n]
-    sieve = grimm.arith.default_sieve()
-    windows = [range(m + 1, m + max_n + 1) for m in range(1, m_max + 1)]
-    full = {x for w in windows if not any(map(sieve.is_prime, w)) for x in w}
-    assert sorted(searched) == sorted(full)
+    assert grimm.arith.default_sieve().limit == sieve.limit
 
 
 def test_conjecture1_fixtures():

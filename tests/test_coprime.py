@@ -4,8 +4,7 @@ import random
 import pytest
 
 import grimm.arith
-from grimm.arith import Window, default_sieve, representation_threshold
-from grimm.conjectures import _checked_witness, _witness
+from grimm.arith import Window, default_sieve, largest_prime_power, representation_threshold
 from grimm.coprime import (
     CanonicalRow,
     CoprimeRepresentation,
@@ -147,8 +146,15 @@ def test_full_representation_sampled():
 
 
 def witness(w: Window, i: int) -> int | None:
-    """The checked witness prime of the element m+i of the window, if any."""
-    return _checked_witness(w, w.m + i, _witness(w.m + i, w.n))
+    """The prime p of L(m+i) = p^v, checked by largest_prime_power, if p^v > n
+    (the H(n) lemma's witness for the element m+i), once the oracle puts its
+    exponent in C(m+n, n) in [1, v]; None for x in H(n), a prime <= n, or x < 2."""
+    x = w.m + i
+    p, v = largest_prime_power(x) if x >= 2 else (1, 0)
+    if p**v <= w.n:
+        return None
+    assert 1 <= binomial_prime_exponents(w.m, w.n).get(p, 0) <= v, (w, x)
+    return p
 
 
 def test_witness_fixtures():
